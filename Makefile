@@ -22,17 +22,20 @@ vet:
 bench:
 	$(GO) test -bench=. -benchmem -run '^$$' .
 
-# Machine-readable benchmark snapshot: the sweep-engine scaling benches
-# plus the co-simulation hot-path benches, parsed into BENCH_sweep.json
-# so regressions diff across commits. The telemetry pair (RunOnOff vs
-# RunOnOffTelemetry) bounds the observability overhead. The second
+# Machine-readable benchmark snapshot: the sweep-engine scaling benches,
+# the co-simulation hot-path benches, and the fabric's /complete codec
+# (one 8-record unit encoded, checksummed, decoded and verified), parsed
+# into BENCH_sweep.json so regressions diff across commits. The
+# telemetry pair (RunOnOff vs RunOnOffTelemetry) bounds the
+# observability overhead. Each snapshot records this command. The second
 # snapshot, BENCH_solver.json, covers the MPC solve path — the cold/warm
 # pairs (QPInteriorPoint vs ...Warm, LUSolve120 vs LUSolveInto120) bound
 # the workspace-reuse win, and the -benchmem allocs/op column pins the
 # allocation-free hot path.
 bench-json:
 	{ $(GO) test -run '^$$' -bench 'Sweep16|SweepScalar|SweepBatch|CoSimOnOff' -benchmem . ; \
-	  $(GO) test -run '^$$' -bench 'Forecast|RunOnOff' -benchmem ./internal/sim ; } \
+	  $(GO) test -run '^$$' -bench 'Forecast|RunOnOff' -benchmem ./internal/sim ; \
+	  $(GO) test -run '^$$' -bench 'CompleteCodec' -benchmem ./internal/fabric ; } \
 	| $(GO) run ./cmd/benchjson -o BENCH_sweep.json
 	$(GO) test -run '^$$' -bench 'MPCSolveStep|QPInteriorPoint|QPStructured|SQPSolveWarm|LUSolve' -benchmem . \
 	| $(GO) run ./cmd/benchjson -o BENCH_solver.json
@@ -51,14 +54,17 @@ bench-json:
 # sweep throughput bench (BenchmarkSweepBatch, the fix for the
 # non-scaling parallel sweep) regresses more than 35 % in ns/op — wider
 # than the solver tolerance because whole-sweep wall-clock on shared
-# runners swings far more than a single solve step.
+# runners swings far more than a single solve step. This gate only reads
+# BENCH_sweep.json: the ledger also holds the sim and /complete codec
+# benches, which it does not rerun, so `make bench-json` stays the one
+# recipe that rewrites it.
 bench-gate:
 	$(GO) test -run '^$$' -bench 'MPCSolveStep|QPInteriorPoint|QPStructured|SQPSolveWarm|LUSolve' -benchmem -benchtime 3s . \
 	| $(GO) run ./cmd/benchjson -gate BENCH_solver.json \
 	  -gate-bench 'BenchmarkMPCSolveStep,BenchmarkMPCSolveStepThermal' -o BENCH_solver.json
 	$(GO) test -run '^$$' -bench 'Sweep16|SweepScalar|SweepBatch|CoSimOnOff' -benchmem -benchtime 3s . \
 	| $(GO) run ./cmd/benchjson -gate BENCH_sweep.json \
-	  -gate-bench 'BenchmarkSweepBatch' -gate-tol 0.35 -o BENCH_sweep.json
+	  -gate-bench 'BenchmarkSweepBatch' -gate-tol 0.35 > /dev/null
 
 # Fault-injection and observability conformance under the race detector:
 # the injector and supervisor unit tests, the telemetry registry/trace
@@ -75,13 +81,15 @@ test-faults:
 # torn-tail tolerance, the SIGKILL kill-and-resume byte-identity proof,
 # watchdog/retry/escalation, mid-job checkpoint resume, the sim-level
 # checkpoint bit-exactness property, and the evbench exit-code contract —
-# plus a short fuzz smoke of the journal parser (the file a crashed
-# process leaves behind is untrusted input).
+# plus short fuzz smokes of the journal parser (the file a crashed
+# process leaves behind is untrusted input) and of the coordinator's
+# /complete decoder (so is a payload off the network).
 test-resume:
 	$(GO) test -race -run 'Journal|Watchdog|Retry|Backoff|Checkpoint|Escalation|Kill' ./internal/runner/...
 	$(GO) test -run 'Checkpoint|Restore' ./internal/sim/...
 	$(GO) test ./cmd/evbench/...
 	$(GO) test -fuzz=FuzzParseJournal -fuzztime=10s ./internal/runner/
+	$(GO) test -run '^$$' -fuzz='^FuzzDecodeComplete$$' -fuzztime=10s ./internal/fabric/
 
 # Distributed-fabric suite under the race detector: the sharding /
 # lease / quarantine unit tests, the topology byte-identity proof
@@ -135,8 +143,8 @@ test-batch:
 
 # Pre-merge gate: full build + vet + tests, fault, crash-safety,
 # distributed-fabric, network-chaos, cold-climate thermal, and
-# batched-execution suites, and short fuzz smokes of the QP solver and
-# the journal parser.
+# batched-execution suites, and short fuzz smokes of the QP solver, the
+# journal parser, and the /complete decoder.
 check: all test-faults test-resume test-fabric test-netchaos test-thermal test-batch
 	$(GO) test -fuzz='^FuzzSolve$$' -fuzztime=10s ./internal/qp/
 	$(GO) test -fuzz='^FuzzStageKKT$$' -fuzztime=10s ./internal/qp/

@@ -41,8 +41,16 @@ type Benchmark struct {
 	Metrics map[string]float64 `json:"metrics"`
 }
 
+// ledgerCommand is how the committed BENCH_*.json ledgers are
+// regenerated (the Makefile's bench-json recipe).
+const ledgerCommand = "make bench-json"
+
 // Report is the whole snapshot.
 type Report struct {
+	// Command regenerates the snapshot. It is stamped on every snapshot
+	// written with -o: those are the committed ledgers, and
+	// ledgerCommand is the one recipe that writes them.
+	Command string `json:"command,omitempty"`
 	// Goos, Goarch, and CPU echo the `go test` environment header.
 	Goos   string `json:"goos,omitempty"`
 	Goarch string `json:"goarch,omitempty"`
@@ -93,6 +101,7 @@ func main() {
 
 	w := io.Writer(os.Stdout)
 	if *out != "" {
+		rep.Command = ledgerCommand
 		f, err := os.Create(*out)
 		if err != nil {
 			fatal(err)

@@ -2,6 +2,7 @@ package fabric
 
 import (
 	"context"
+	"encoding/gob"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -139,7 +140,8 @@ type unit struct {
 type Coordinator struct {
 	cfg  CoordinatorConfig
 	jobs []runner.Job
-	fps  []string // per-job fingerprints, hex, index-aligned
+	fpv  []uint64 // per-job fingerprints, index-aligned, hashed once
+	fps  []string // the same fingerprints, hex
 	fp   string   // sweep fingerprint, hex
 	git  string
 
@@ -199,11 +201,13 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 			return nil, err
 		}
 	}
+	fpv := runner.Fingerprints(jobs)
 	c := &Coordinator{
 		cfg:      cfg,
 		jobs:     jobs,
+		fpv:      fpv,
 		fps:      make([]string, len(jobs)),
-		fp:       telemetry.FormatFingerprint(runner.SweepFingerprint(jobs)),
+		fp:       telemetry.FormatFingerprint(runner.SweepFingerprintOf(fpv)),
 		git:      cfg.Git,
 		byLease:  make(map[uint64]*unit),
 		store:    store,
@@ -217,10 +221,10 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	if c.git == "" {
 		c.git = telemetry.GitDescribe("")
 	}
-	for i := range jobs {
-		c.fps[i] = telemetry.FormatFingerprint(jobs[i].Fingerprint())
+	for i, fp := range fpv {
+		c.fps[i] = telemetry.FormatFingerprint(fp)
 	}
-	for id, idxs := range shardUnits(jobs, cfg.UnitSize) {
+	for id, idxs := range shardUnits(fpv, cfg.UnitSize) {
 		c.units = append(c.units, &unit{
 			id: id, jobs: idxs, seed: jobs[idxs[0]].Seed,
 			failedOn: make(map[string]bool),
@@ -250,12 +254,12 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 				return nil, fmt.Errorf("%w: journal record for job %d has fingerprint %s, this expansion has %s",
 					runner.ErrJournalMismatch, i, rec.Fingerprint, c.fps[i])
 			}
-			if err := c.store.Put(i, rec); err != nil {
+			if err := c.store.Put(i, rec, nil); err != nil {
 				jnl.Close()
 				return nil, err
 			}
 			c.resumed++
-			c.publishCache(&jobs[i], rec)
+			c.publishCache(i, rec)
 		}
 		for _, u := range c.units {
 			if c.unitComplete(u) {
@@ -309,13 +313,14 @@ func (c *Coordinator) unitComplete(u *unit) bool {
 	return true
 }
 
-// publishCache shares a successful, non-escalated record's result under
-// its scenario fingerprint (caller holds mu, or is still constructing).
-func (c *Coordinator) publishCache(job *runner.Job, rec *runner.JournalRecord) {
+// publishCache shares job i's successful, non-escalated record's result
+// under its scenario fingerprint (caller holds mu, or is still
+// constructing).
+func (c *Coordinator) publishCache(i int, rec *runner.JournalRecord) {
 	if c.cfg.Cache == nil || rec.Err != "" || rec.EscalatedTo != "" || rec.Result == nil {
 		return
 	}
-	c.cfg.Cache.Put(job.Fingerprint(), rec.Result, time.Duration(rec.ElapsedNs))
+	c.cfg.Cache.Put(c.fpv[i], rec.Result, time.Duration(rec.ElapsedNs))
 }
 
 // refreshGauges updates the progress gauges (caller holds mu, or is
@@ -465,12 +470,26 @@ func (c *Coordinator) Wait(ctx context.Context) error {
 	}
 }
 
+// shutdownGrace bounds how long Close waits for in-flight replies to
+// flush before it cuts the remaining connections.
+const shutdownGrace = 2 * time.Second
+
 // Close stops the listener, the reaper, and the journal. Idempotent
 // enough for defer-after-Serve-failure (nil fields are skipped).
+//
+// The server shuts down gracefully: the reply that told the last
+// worker the sweep is done may still be in flight when the caller's
+// Wait returns, and cutting it would leave that worker retrying a
+// closed port. Connections still busy after shutdownGrace (a
+// black-holed peer) are closed outright.
 func (c *Coordinator) Close() error {
 	var errs []error
 	if c.srv != nil {
-		errs = append(errs, c.srv.Close())
+		ctx, cancel := context.WithTimeout(context.Background(), shutdownGrace)
+		if err := c.srv.Shutdown(ctx); err != nil {
+			errs = append(errs, c.srv.Close())
+		}
+		cancel()
 		c.srv = nil
 	}
 	select {
@@ -669,23 +688,30 @@ func (c *Coordinator) handleSpec(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// decodeBody decodes a capped JSON request body into v, distinguishing
-// an over-cap body (ErrBodyTooLarge, 413, terminal for the worker) from
-// bytes that did not parse (ErrCorruptPayload, 422, retryable — the
-// next delivery may arrive intact). corrupt reports which rejection was
-// written when ok is false.
+// decodeBody decodes a capped JSON request body into v. corrupt
+// reports which rejection (see rejectBody) was written when ok is
+// false.
 func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, v any) (ok, corrupt bool) {
 	r.Body = http.MaxBytesReader(w, r.Body, limit)
 	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			httpError(w, http.StatusRequestEntityTooLarge, "%v: limit %d bytes", ErrBodyTooLarge, tooBig.Limit)
-			return false, false
-		}
-		httpError(w, http.StatusUnprocessableEntity, "%v: %v", ErrCorruptPayload, err)
-		return false, true
+		return false, rejectBody(w, err)
 	}
 	return true, false
+}
+
+// rejectBody writes the rejection for a capped request body that failed
+// to decode, distinguishing an over-cap body (ErrBodyTooLarge, 413,
+// terminal for the worker) from bytes that did not parse
+// (ErrCorruptPayload, 422, retryable — the next delivery may arrive
+// intact). It reports whether the body was rejected as corrupt.
+func rejectBody(w http.ResponseWriter, err error) (corrupt bool) {
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		httpError(w, http.StatusRequestEntityTooLarge, "%v: limit %d bytes", ErrBodyTooLarge, tooBig.Limit)
+		return false
+	}
+	httpError(w, http.StatusUnprocessableEntity, "%v: %v", ErrCorruptPayload, err)
+	return true
 }
 
 func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
@@ -768,12 +794,29 @@ func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 }
 
 func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
+	// The body is the gob frame encodeComplete writes, under the same
+	// cap as every other endpoint.
 	var req CompleteRequest
-	if ok, corrupt := decodeBody(w, r, c.cfg.MaxCompleteBytes, &req); !ok {
-		if corrupt {
+	r.Body = http.MaxBytesReader(w, r.Body, c.cfg.MaxCompleteBytes)
+	if err := gob.NewDecoder(r.Body).Decode(&req); err != nil {
+		if rejectBody(w, err) {
 			// A completion that does not even parse is in-transit
 			// corruption, same as a checksum mismatch.
 			c.cCorrupt.Inc()
+		}
+		return
+	}
+	// Checksums over the received blob bytes, then the records decoded
+	// from them — pure work on the request, done before taking the lock.
+	// A mismatch is in-transit corruption: the whole completion is
+	// rejected as retryable and an intact re-send will land.
+	recs, err := openComplete(&req)
+	if err != nil {
+		if errors.Is(err, ErrCorruptPayload) {
+			c.cCorrupt.Inc()
+			httpError(w, http.StatusUnprocessableEntity, "%v", err)
+		} else {
+			httpError(w, http.StatusBadRequest, "%v", err)
 		}
 		return
 	}
@@ -807,8 +850,8 @@ func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 	// Validate everything before accepting anything: a fingerprint
 	// mismatch means a drifted binary, and none of its results can be
 	// trusted.
-	for _, rec := range req.Records {
-		if rec == nil || rec.Index < 0 || rec.Index >= len(c.jobs) {
+	for _, rec := range recs {
+		if rec.Index < 0 || rec.Index >= len(c.jobs) {
 			httpError(w, http.StatusBadRequest, "fabric: completion with out-of-range job index")
 			return
 		}
@@ -819,34 +862,8 @@ func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	// Payload checksums: recompute each record's FNV sum from what was
-	// decoded and compare against what the worker computed before the
-	// bytes hit the wire. A mismatch is in-transit corruption — reject
-	// the whole completion as retryable; an intact re-send will land.
-	if len(req.Sums) > 0 {
-		if len(req.Sums) != len(req.Records) {
-			c.cCorrupt.Inc()
-			httpError(w, http.StatusUnprocessableEntity,
-				"%v: %d checksums for %d records", ErrCorruptPayload, len(req.Sums), len(req.Records))
-			return
-		}
-		for k, rec := range req.Records {
-			sum, err := runner.ChecksumRecord(rec)
-			if err != nil {
-				httpError(w, http.StatusInternalServerError, "fabric: checksum record %d: %v", k, err)
-				return
-			}
-			if sum != req.Sums[k] {
-				c.cCorrupt.Inc()
-				httpError(w, http.StatusUnprocessableEntity,
-					"%v: record %d (job %d) sums %s on the wire, %s as sent",
-					ErrCorruptPayload, k, rec.Index, sum, req.Sums[k])
-				return
-			}
-		}
-	}
 	rep := CompleteReply{}
-	for _, rec := range req.Records {
+	for k, rec := range recs {
 		if c.store.Has(rec.Index) {
 			// A reassigned unit finishing twice: first completion wins,
 			// so stitching stays deterministic.
@@ -854,13 +871,13 @@ func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 			c.cDuplicates.Inc()
 			continue
 		}
-		if err := c.store.Put(rec.Index, rec); err != nil {
+		if err := c.store.Put(rec.Index, rec, req.Records[k]); err != nil {
 			httpError(w, http.StatusInternalServerError, "fabric: store record: %v", err)
 			return
 		}
 		rep.Accepted++
 		c.cRecords.Inc()
-		c.publishCache(&c.jobs[rec.Index], rec)
+		c.publishCache(rec.Index, rec)
 		if c.jnl != nil {
 			if err := c.jnl.Append(rec); err != nil {
 				// Journal failure is fatal for crash-safety claims; back
@@ -875,7 +892,7 @@ func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 	// restarted coordinator may have resharded state, so recheck all
 	// non-done units touched by these records).
 	touched := map[int]bool{}
-	for _, rec := range req.Records {
+	for _, rec := range recs {
 		touched[rec.Index] = true
 	}
 	for _, u := range c.units {

@@ -4,14 +4,22 @@
 // dying.
 //
 // The coordinator expands a runner.Spec, shards the jobs by FNV
-// scenario fingerprint into leased work units, and serves them over an
-// HTTP+JSON protocol (/spec, /lease, /heartbeat, /complete, /snapshot,
-// /cache). Workers rebuild the identical spec locally from a shared
-// builder registry — function-valued spec fields cannot travel over the
-// wire, so the protocol ships job indexes and fingerprints, never jobs —
-// run their leased units through the ordinary pool (watchdog, retry,
+// scenario fingerprint into leased work units, and serves them over
+// HTTP (/spec, /lease, /heartbeat, /complete, /snapshot, /cache).
+// Workers rebuild the identical spec locally from a shared builder
+// registry — function-valued spec fields cannot travel over the wire,
+// so the protocol ships job indexes and fingerprints, never jobs — run
+// their leased units through the ordinary pool (watchdog, retry,
 // ladder escalation included), and stream back journal-form records
 // carrying each job's result, step spans, and private metric snapshot.
+//
+// The control plane and every reply are JSON. The bulk payload is not:
+// a worker encodes each record exactly once into its own blob (an
+// exact binary record codec, see codec.go), checksums the blob bytes
+// (FNV-1a), and posts the blobs gob-framed in one /complete body. The
+// coordinator verifies every checksum over the bytes as received
+// before decoding any record, and never re-encodes a record to check
+// or store it (a configured journal still appends JSONL).
 //
 // Failure semantics:
 //
@@ -55,8 +63,8 @@ var ErrUnitQuarantined = errors.New("fabric: unit quarantined (lease lost on too
 
 // ErrCorruptPayload reports a completion whose record bytes failed the
 // FNV payload checksum (or did not parse at all) — in-transit
-// corruption. The rejection is retryable: the worker re-marshals and
-// re-sends, and an intact delivery is accepted.
+// corruption. The rejection is retryable: the worker re-sends the same
+// bytes, and an intact delivery is accepted.
 var ErrCorruptPayload = errors.New("fabric: completion payload corrupt in transit")
 
 // ErrBodyTooLarge reports a request body over the coordinator's cap.
@@ -181,25 +189,27 @@ type HeartbeatReply struct {
 	TTLMs int64 `json:"ttl_ms,omitempty"`
 }
 
-// CompleteRequest streams a finished unit's records back.
+// CompleteRequest streams a finished unit's records back. It is the
+// one request that travels as gob, not JSON (see encodeComplete).
 type CompleteRequest struct {
-	Worker string `json:"worker"`
-	Lease  uint64 `json:"lease"`
-	Unit   int    `json:"unit"`
+	Worker string
+	Lease  uint64
+	Unit   int
 	// RequestID identifies this logical completion across deliveries:
 	// the worker derives it deterministically from (worker, lease,
 	// unit), so a duplicated or retried delivery carries the same id
 	// and the coordinator replays its original reply instead of
 	// re-processing the records.
-	RequestID uint64 `json:"request_id,omitempty"`
+	RequestID uint64
 	// Records are the unit's journal-form job records, exactly what the
-	// runner's journal mode would have appended locally.
-	Records []*runner.JournalRecord `json:"records"`
-	// Sums are FNV-1a checksums over each record's canonical JSON
-	// (runner.ChecksumRecord), index-aligned with Records. The
-	// coordinator recomputes them from what it decoded; a mismatch is
+	// runner's journal mode would have appended locally, each encoded
+	// once into its own blob (encodeRecord).
+	Records [][]byte
+	// Sums are the FNV-1a checksums of the blobs (blobSum),
+	// index-aligned with Records. The coordinator recomputes them over
+	// the bytes it received before decoding any record; a mismatch is
 	// in-transit corruption and the whole completion is rejected.
-	Sums []string `json:"sums,omitempty"`
+	Sums []string
 }
 
 // CompleteReply reports how many records were accepted; duplicates (a
@@ -230,21 +240,23 @@ type Progress struct {
 }
 
 // shardUnits shards job indexes into units by FNV scenario fingerprint:
-// job i lands in unit Fingerprint(i) mod n, with n sized so units hold
-// about unitSize jobs. Sharding is content-addressed — two expansions of
-// the same spec shard identically, whatever machine computes them — and
-// each unit's job list stays sorted in expansion order.
-func shardUnits(jobs []runner.Job, unitSize int) [][]int {
+// job i lands in unit fps[i] mod n, with n sized so units hold about
+// unitSize jobs. fps are the expansion's per-job fingerprints
+// (runner.Fingerprints), computed once by the caller. Sharding is
+// content-addressed — two expansions of the same spec shard
+// identically, whatever machine computes them — and each unit's job
+// list stays sorted in expansion order.
+func shardUnits(fps []uint64, unitSize int) [][]int {
 	if unitSize <= 0 {
 		unitSize = DefaultUnitSize
 	}
-	n := (len(jobs) + unitSize - 1) / unitSize
+	n := (len(fps) + unitSize - 1) / unitSize
 	if n < 1 {
 		n = 1
 	}
 	units := make([][]int, n)
-	for i := range jobs {
-		u := int(jobs[i].Fingerprint() % uint64(n))
+	for i, fp := range fps {
+		u := int(fp % uint64(n))
 		units[u] = append(units[u], i)
 	}
 	// Drop empty shards (fingerprints are uniform but not perfect) and

@@ -38,15 +38,16 @@ func hardenedCoord(t *testing.T, mutate func(*CoordinatorConfig)) (*Coordinator,
 	return coord, reg
 }
 
-// postComplete delivers one raw completion and returns the HTTP status
-// plus the decoded reply (when 200).
+// postComplete delivers one raw completion, in the worker's wire
+// encoding, and returns the HTTP status plus the decoded reply (when
+// 200).
 func postComplete(t *testing.T, addr string, req *CompleteRequest) (int, CompleteReply, string) {
 	t.Helper()
-	body, err := json.Marshal(req)
+	body, err := encodeComplete(req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := http.Post("http://"+addr+"/complete", "application/json", bytes.NewReader(body))
+	resp, err := http.Post("http://"+addr+"/complete", "application/octet-stream", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,19 +67,24 @@ func postComplete(t *testing.T, addr string, req *CompleteRequest) (int, Complet
 }
 
 // failedRecord builds a valid-for-this-sweep record carrying an error
-// (no Result needed), with its wire checksum.
-func failedRecord(t *testing.T, coord *Coordinator, idx, attempts int) (*runner.JournalRecord, string) {
-	t.Helper()
-	rec := &runner.JournalRecord{
+// (no Result needed).
+func failedRecord(coord *Coordinator, idx, attempts int) *runner.JournalRecord {
+	return &runner.JournalRecord{
 		Kind: "job", Index: idx, Fingerprint: coord.fps[idx],
 		Seed: coord.jobs[idx].Seed, Attempts: attempts,
 		ElapsedNs: int64(attempts) * 1000, Err: "synthetic hardening failure",
 	}
-	sum, err := runner.ChecksumRecord(rec)
+}
+
+// wireRecord encodes a record as a worker does: its blob and the blob's
+// checksum.
+func wireRecord(t *testing.T, rec *runner.JournalRecord) ([]byte, string) {
+	t.Helper()
+	blob, err := encodeRecord(rec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return rec, sum
+	return blob, blobSum(blob)
 }
 
 // TestCompleteBodyCap: a /complete body over MaxCompleteBytes is
@@ -87,10 +93,11 @@ func failedRecord(t *testing.T, coord *Coordinator, idx, attempts int) (*runner.
 // not be burned on it.
 func TestCompleteBodyCap(t *testing.T) {
 	coord, _ := hardenedCoord(t, func(cfg *CoordinatorConfig) { cfg.MaxCompleteBytes = 1 << 10 })
-	rec, sum := failedRecord(t, coord, 0, 1)
+	rec := failedRecord(coord, 0, 1)
 	rec.Err = strings.Repeat("x", 4<<10) // inflate past the cap
+	blob, sum := wireRecord(t, rec)
 	status, _, msg := postComplete(t, coord.Addr, &CompleteRequest{
-		Worker: "big", Lease: 1, Unit: 0, Records: []*runner.JournalRecord{rec}, Sums: []string{sum},
+		Worker: "big", Lease: 1, Unit: 0, Records: [][]byte{blob}, Sums: []string{sum},
 	})
 	if status != http.StatusRequestEntityTooLarge {
 		t.Fatalf("oversize completion: status %d (%s), want 413", status, msg)
@@ -109,9 +116,13 @@ func TestCompleteBodyCap(t *testing.T) {
 		Connect:         runner.RetryPolicy{BaseBackoff: time.Millisecond, MaxBackoff: 2 * time.Millisecond},
 		ConnectAttempts: 4,
 	})
-	err := w.call(context.Background(), "/complete", &CompleteRequest{
-		Worker: "big", Lease: 1, Unit: 0, Records: []*runner.JournalRecord{rec}, Sums: []string{sum},
-	}, &CompleteReply{})
+	body, err := encodeComplete(&CompleteRequest{
+		Worker: "big", Lease: 1, Unit: 0, Records: [][]byte{blob}, Sums: []string{sum},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = w.send(context.Background(), "/complete", body, &CompleteReply{})
 	if !errors.Is(err, ErrBodyTooLarge) {
 		t.Fatalf("worker call error = %v, want ErrBodyTooLarge", err)
 	}
@@ -132,13 +143,13 @@ func TestCompleteBodyCap(t *testing.T) {
 // counted, and leaves no records behind; the intact re-send lands.
 func TestCompleteChecksumRejectsCorruption(t *testing.T) {
 	coord, reg := hardenedCoord(t, nil)
-	rec, sum := failedRecord(t, coord, 0, 1)
+	blob, sum := wireRecord(t, failedRecord(coord, 0, 1))
 
 	// Corrupt: the worker's sums describe different bytes.
 	bad := "0000000000000000"
 	status, _, msg := postComplete(t, coord.Addr, &CompleteRequest{
 		Worker: "w", Lease: 1, Unit: 0, RequestID: 77,
-		Records: []*runner.JournalRecord{rec}, Sums: []string{bad},
+		Records: [][]byte{blob}, Sums: []string{bad},
 	})
 	if status != http.StatusUnprocessableEntity {
 		t.Fatalf("corrupt completion: status %d (%s), want 422", status, msg)
@@ -155,17 +166,32 @@ func TestCompleteChecksumRejectsCorruption(t *testing.T) {
 	// Mismatched sums/records arity is corruption too.
 	status, _, _ = postComplete(t, coord.Addr, &CompleteRequest{
 		Worker: "w", Lease: 1, Unit: 0, RequestID: 77,
-		Records: []*runner.JournalRecord{rec}, Sums: []string{sum, sum},
+		Records: [][]byte{blob}, Sums: []string{sum, sum},
 	})
 	if status != http.StatusUnprocessableEntity {
 		t.Fatalf("arity-mismatched completion: status %d, want 422", status)
+	}
+	// One byte flipped inside one blob fails that blob's checksum, and
+	// the completion is rejected before the intact record beside it is
+	// stored.
+	other, otherSum := wireRecord(t, failedRecord(coord, 1, 1))
+	other[len(other)/2] ^= 0x01
+	status, _, msg = postComplete(t, coord.Addr, &CompleteRequest{
+		Worker: "w", Lease: 1, Unit: 0, RequestID: 77,
+		Records: [][]byte{blob, other}, Sums: []string{sum, otherSum},
+	})
+	if status != http.StatusUnprocessableEntity || !strings.Contains(msg, ErrCorruptPayload.Error()) {
+		t.Fatalf("bit-flipped blob: status %d (%s), want typed 422", status, msg)
+	}
+	if n := coord.Snapshot().Completed; n != 0 {
+		t.Fatalf("bit-flipped completion stored %d records, want 0", n)
 	}
 	// The intact re-send (same RequestID — a retry, not a new
 	// completion) is accepted normally: the rejections never entered the
 	// idempotency cache.
 	status, rep, _ := postComplete(t, coord.Addr, &CompleteRequest{
 		Worker: "w", Lease: 1, Unit: 0, RequestID: 77,
-		Records: []*runner.JournalRecord{rec}, Sums: []string{sum},
+		Records: [][]byte{blob}, Sums: []string{sum},
 	})
 	if status != http.StatusOK || rep.Accepted != 1 || rep.Replayed {
 		t.Fatalf("intact re-send: status %d rep %+v, want accepted", status, rep)
@@ -181,10 +207,10 @@ func TestCompleteChecksumRejectsCorruption(t *testing.T) {
 // first-wins whatever arrives later.
 func TestDuplicateCompletionIdempotent(t *testing.T) {
 	coord, reg := hardenedCoord(t, nil)
-	rec, sum := failedRecord(t, coord, 0, 1)
+	blob, sum := wireRecord(t, failedRecord(coord, 0, 1))
 	first := &CompleteRequest{
 		Worker: "w", Lease: 1, Unit: 0, RequestID: 42,
-		Records: []*runner.JournalRecord{rec}, Sums: []string{sum},
+		Records: [][]byte{blob}, Sums: []string{sum},
 	}
 	status, rep, _ := postComplete(t, coord.Addr, first)
 	if status != http.StatusOK || rep.Accepted != 1 || rep.Replayed {
@@ -206,10 +232,10 @@ func TestDuplicateCompletionIdempotent(t *testing.T) {
 
 	// New RequestID, same job (a reassigned unit finishing twice): the
 	// record-level dedup counts it and the original record wins.
-	later, laterSum := failedRecord(t, coord, 0, 7) // would differ if it replaced the original
+	later, laterSum := wireRecord(t, failedRecord(coord, 0, 7)) // would differ if it replaced the original
 	status, rep, _ = postComplete(t, coord.Addr, &CompleteRequest{
 		Worker: "other", Lease: 2, Unit: 0, RequestID: 43,
-		Records: []*runner.JournalRecord{later}, Sums: []string{laterSum},
+		Records: [][]byte{later}, Sums: []string{laterSum},
 	})
 	if status != http.StatusOK || rep.Duplicates != 1 || rep.Accepted != 0 {
 		t.Fatalf("reassigned delivery: status %d rep %+v, want 1 duplicate", status, rep)
@@ -329,5 +355,52 @@ func TestCallDeadlineUnsticksBlackHole(t *testing.T) {
 	}
 	if got := chaos.Injected()[netchaos.BlackHole]; got != 2 {
 		t.Errorf("black-hole fired %d times, want 2 (every attempt)", got)
+	}
+}
+
+// TestCloseAfterWaitFlushesFinalReply is the serve/join shutdown race:
+// the completion that finishes the sweep closes Wait's channel before
+// its reply is written, so a caller that closes the coordinator the
+// moment Wait returns used to cut that reply — the last worker saw EOF,
+// then a refused connection, and exited with an error. Close now shuts
+// the server down gracefully, and the worker must exit cleanly every
+// time.
+func TestCloseAfterWaitFlushesFinalReply(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulates real cycles")
+	}
+	spec, err := gridBuilder(map[string]string{"seed": "42", "max_s": "20"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	specs := NewSpecRegistry()
+	specs.Register("grid", func(map[string]string) (runner.Spec, error) { return spec, nil })
+	for iter := 0; iter < 200; iter++ {
+		coord, err := NewCoordinator(CoordinatorConfig{
+			Spec: spec, SpecName: "grid", Label: "close-race", UnitSize: 1000, Git: "test",
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := coord.Serve("127.0.0.1:0"); err != nil {
+			t.Fatal(err)
+		}
+		wk := NewWorker(WorkerConfig{
+			URL: "http://" + coord.Addr, ID: "last", Specs: specs, Workers: 2, Git: "test",
+			Connect:         runner.RetryPolicy{BaseBackoff: time.Millisecond, MaxBackoff: 2 * time.Millisecond},
+			ConnectAttempts: 2,
+		})
+		errc := make(chan error, 1)
+		go func() {
+			_, err := wk.Run(context.Background())
+			errc <- err
+		}()
+		if err := coord.Wait(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		coord.Close()
+		if err := <-errc; err != nil {
+			t.Fatalf("iteration %d: worker exited with %v after the sweep finished", iter, err)
+		}
 	}
 }

@@ -1,7 +1,7 @@
 package fabric
 
 import (
-	"encoding/json"
+	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -34,7 +34,9 @@ type SpillConfig struct {
 // locking of their own.
 type recordStore interface {
 	// Put stores the record for a job index (overwriting any previous).
-	Put(i int, rec *runner.JournalRecord) error
+	// blob is rec's codec encoding (encodeRecord) when the caller holds
+	// it already — a /complete payload — and nil otherwise.
+	Put(i int, rec *runner.JournalRecord, blob []byte) error
 	// Get loads the record for a job index, or nil when absent.
 	Get(i int) (*runner.JournalRecord, error)
 	// Has reports whether a record exists for the index without
@@ -59,7 +61,7 @@ type memStore struct {
 
 func newMemStore() *memStore { return &memStore{m: make(map[int]*runner.JournalRecord)} }
 
-func (s *memStore) Put(i int, rec *runner.JournalRecord) error {
+func (s *memStore) Put(i int, rec *runner.JournalRecord, _ []byte) error {
 	if old := s.m[i]; old != nil && old.Err != "" {
 		s.failed--
 	}
@@ -95,10 +97,17 @@ type spillEntry struct {
 	failed bool
 }
 
-// spillStore appends record payloads to rotating disk segments and
-// keeps a compact in-memory index. Records read back byte-identical
-// (JSON round trip); random access uses ReadAt, so streaming Stitch in
+// spillStore appends record blobs — the same encoding /complete
+// carries (encodeRecord) — to rotating disk segments and keeps a
+// compact in-memory index. Records decode back to their journal JSON
+// byte for byte; random access uses ReadAt, so streaming Stitch in
 // expansion order touches one record at a time.
+//
+// Each blob is written behind its 8-byte FNV-1a sum and verified on
+// Get: the bytes come back from disk, outside the /complete checksum,
+// and a flipped bit inside a float would otherwise decode to a wrong
+// value rather than an error. The sum lives on disk, not in the index,
+// so the per-record memory stays what it was.
 type spillStore struct {
 	dir      string
 	segBytes int64
@@ -147,12 +156,15 @@ func (s *spillStore) rotate() error {
 	return nil
 }
 
-func (s *spillStore) Put(i int, rec *runner.JournalRecord) error {
-	data, err := json.Marshal(rec)
-	if err != nil {
-		return err
+func (s *spillStore) Put(i int, rec *runner.JournalRecord, blob []byte) error {
+	data := blob
+	if data == nil {
+		var err error
+		if data, err = encodeRecord(rec); err != nil {
+			return err
+		}
 	}
-	data = append(data, '\n')
+	data = append(binary.LittleEndian.AppendUint64(make([]byte, 0, 8+len(data)), blobFNV(data)), data...)
 	if s.active > 0 && s.active+int64(len(data)) > s.segBytes {
 		if err := s.rotate(); err != nil {
 			return err
@@ -186,8 +198,11 @@ func (s *spillStore) Get(i int) (*runner.JournalRecord, error) {
 	if _, err := s.segs[e.seg].ReadAt(buf, e.off); err != nil {
 		return nil, fmt.Errorf("fabric: spill read job %d: %w", i, err)
 	}
-	rec := new(runner.JournalRecord)
-	if err := json.Unmarshal(buf, rec); err != nil {
+	if binary.LittleEndian.Uint64(buf) != blobFNV(buf[8:]) {
+		return nil, fmt.Errorf("fabric: spill segment %d corrupt at job %d", e.seg, i)
+	}
+	rec, err := decodeRecord(buf[8:])
+	if err != nil {
 		return nil, fmt.Errorf("fabric: spill decode job %d: %w", i, err)
 	}
 	return rec, nil

@@ -43,7 +43,7 @@ func storeOps(t *testing.T, s recordStore) {
 	t.Helper()
 	const n = 64
 	for i := 0; i < n; i++ {
-		if err := s.Put(i, synthRecord(i, i%8 == 3)); err != nil {
+		if err := s.Put(i, synthRecord(i, i%8 == 3), nil); err != nil {
 			t.Fatalf("put %d: %v", i, err)
 		}
 	}
@@ -72,14 +72,14 @@ func storeOps(t *testing.T, s recordStore) {
 		t.Fatalf("Get(absent) = %v, %v, want nil, nil", rec, err)
 	}
 	// Overwriting a failed record with a success drops the failure tally.
-	if err := s.Put(3, synthRecord(3, false)); err != nil {
+	if err := s.Put(3, synthRecord(3, false), nil); err != nil {
 		t.Fatal(err)
 	}
 	if got := s.Failed(); got != n/8-1 {
 		t.Fatalf("Failed after overwrite = %d, want %d", got, n/8-1)
 	}
 	// Delete forgets the record and its failure flag.
-	s.Put(11, synthRecord(11, true))
+	s.Put(11, synthRecord(11, true), nil)
 	before := s.Failed()
 	s.Delete(11)
 	if s.Has(11) {
@@ -121,7 +121,7 @@ func TestSpillStoreBoundedMemory(t *testing.T) {
 	defer s.Close()
 	const n = 512
 	for i := 0; i < n; i++ {
-		if err := s.Put(i, synthRecord(i, false)); err != nil {
+		if err := s.Put(i, synthRecord(i, false), nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -155,4 +155,39 @@ func TestSpillStoreBoundedMemory(t *testing.T) {
 		t.Errorf("second Close: %v", err)
 	}
 	_ = os.Remove(dir)
+}
+
+// TestSpillStoreDetectsCorruption: a spilled blob damaged on disk is a
+// Get error, not a silently different record.
+func TestSpillStoreDetectsCorruption(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "spill")
+	s, err := newSpillStore(SpillConfig{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	for i := 0; i < 2; i++ {
+		if err := s.Put(i, synthRecord(i, false), nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Flip the low mantissa bit of job 1's last metric Value (its blob
+	// ends Value, Count, Buckets): still a valid encoding of a record,
+	// so only the sum can tell.
+	e := s.index[1]
+	last := e.off + int64(e.length) - 1 - 2 - 7
+	b := make([]byte, 1)
+	if _, err := s.segs[e.seg].ReadAt(b, last); err != nil {
+		t.Fatal(err)
+	}
+	b[0] ^= 0x01
+	if _, err := s.segs[e.seg].WriteAt(b, last); err != nil {
+		t.Fatal(err)
+	}
+	if rec, err := s.Get(1); err == nil {
+		t.Fatalf("corrupt spilled blob decoded as job %d", rec.Index)
+	}
+	if rec, err := s.Get(0); err != nil || rec.Index != 0 {
+		t.Fatalf("intact neighbour: %v, %v", rec, err)
+	}
 }

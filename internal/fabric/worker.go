@@ -141,11 +141,25 @@ func (w *Worker) callTimeout() time.Duration {
 	return defaultCallTimeout
 }
 
-// call POSTs (or GETs, when req is nil) one protocol endpoint with
-// bounded, seeded-jitter backoff on connection failures and 5xx — the
-// shared RetryPolicy.Delay stream, so worker reconnects pace exactly
-// like job retries. 4xx responses are terminal.
+// call POSTs req as JSON (or GETs, when req is nil) to one protocol
+// endpoint; see send.
 func (w *Worker) call(ctx context.Context, path string, req, rep any) error {
+	var body []byte
+	if req != nil {
+		var err error
+		if body, err = json.Marshal(req); err != nil {
+			return err
+		}
+	}
+	return w.send(ctx, path, body, rep)
+}
+
+// send POSTs an encoded body (or GETs, when body is nil) to one
+// protocol endpoint with bounded, seeded-jitter backoff on connection
+// failures and 5xx — the shared RetryPolicy.Delay stream, so worker
+// reconnects pace exactly like job retries. 4xx responses are
+// terminal. Every attempt re-sends the same bytes.
+func (w *Worker) send(ctx context.Context, path string, body []byte, rep any) error {
 	var lastErr error
 	for attempt := 1; attempt <= w.cfg.ConnectAttempts; attempt++ {
 		if attempt > 1 {
@@ -155,7 +169,7 @@ func (w *Worker) call(ctx context.Context, path string, req, rep any) error {
 				return ctx.Err()
 			}
 		}
-		lastErr = w.callOnce(ctx, path, req, rep)
+		lastErr = w.callOnce(ctx, path, body, rep)
 		if lastErr == nil || ctx.Err() != nil {
 			return lastErr
 		}
@@ -168,25 +182,20 @@ func (w *Worker) call(ctx context.Context, path string, req, rep any) error {
 	return fmt.Errorf("fabric: %s failed after %d attempts: %w", path, w.cfg.ConnectAttempts, lastErr)
 }
 
-func (w *Worker) callOnce(ctx context.Context, path string, req, rep any) error {
+// callOnce makes one attempt of a protocol call: a GET when body is
+// nil, else a POST of body.
+func (w *Worker) callOnce(ctx context.Context, path string, body []byte, rep any) error {
 	cctx, cancel := context.WithTimeout(ctx, w.callTimeout())
 	defer cancel()
-	var body io.Reader
+	var rd io.Reader
 	method := http.MethodGet
-	if req != nil {
-		data, err := json.Marshal(req)
-		if err != nil {
-			return err
-		}
-		body = bytes.NewReader(data)
+	if body != nil {
+		rd = bytes.NewReader(body)
 		method = http.MethodPost
 	}
-	hr, err := http.NewRequestWithContext(cctx, method, w.cfg.URL+path, body)
+	hr, err := http.NewRequestWithContext(cctx, method, w.cfg.URL+path, rd)
 	if err != nil {
 		return err
-	}
-	if req != nil {
-		hr.Header.Set("Content-Type", "application/json")
 	}
 	resp, err := w.client.Do(hr)
 	if err != nil {
@@ -248,7 +257,8 @@ func (w *Worker) join(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
-	fp := telemetry.FormatFingerprint(runner.SweepFingerprint(jobs))
+	fpv := runner.Fingerprints(jobs)
+	fp := telemetry.FormatFingerprint(runner.SweepFingerprintOf(fpv))
 	if fp != w.desc.SweepFingerprint {
 		return fmt.Errorf("%w: local expansion %s, coordinator %s", ErrSpecMismatch, fp, w.desc.SweepFingerprint)
 	}
@@ -257,7 +267,7 @@ func (w *Worker) join(ctx context.Context) error {
 	w.fps = make([]string, len(jobs))
 	for i := range jobs {
 		w.byIndex[jobs[i].Index] = i
-		w.fps[i] = telemetry.FormatFingerprint(jobs[i].Fingerprint())
+		w.fps[i] = telemetry.FormatFingerprint(fpv[i])
 	}
 	// Caching follows the coordinator's mode: a hit skips the simulation
 	// (no per-step spans or metrics in the record), which is only sound
@@ -388,8 +398,13 @@ func (w *Worker) runUnit(ctx context.Context, lease *LeaseReply) (int, bool, err
 		}
 	}()
 
+	// Each record is encoded and checksummed the moment it lands, on
+	// the pool goroutine that produced it: these blobs are the only
+	// encoding the record ever gets.
 	var mu sync.Mutex
-	var records []*runner.JournalRecord
+	var blobs [][]byte
+	var sums []string
+	var encErr error
 	opts := runner.Options{
 		Workers:    w.cfg.Workers,
 		Telemetry:  telemetry.NewRegistry(),
@@ -397,9 +412,21 @@ func (w *Worker) runUnit(ctx context.Context, lease *LeaseReply) (int, bool, err
 		Retry:      w.cfg.Retry,
 		Cache:      w.cfg.Cache,
 		OnRecord: func(rec *runner.JournalRecord) {
+			blob, err := encodeRecord(rec)
+			var sum string
+			if err == nil {
+				sum = blobSum(blob)
+			}
 			mu.Lock()
-			records = append(records, rec)
-			mu.Unlock()
+			defer mu.Unlock()
+			if err != nil {
+				if encErr == nil {
+					encErr = fmt.Errorf("fabric: encode record for job %d: %w", rec.Index, err)
+				}
+				return
+			}
+			blobs = append(blobs, blob)
+			sums = append(sums, sum)
 		},
 	}
 	if w.desc.Trace {
@@ -412,37 +439,34 @@ func (w *Worker) runUnit(ctx context.Context, lease *LeaseReply) (int, bool, err
 	close(hbDone)
 	hbWG.Wait()
 
-	if len(records) == 0 {
+	if encErr != nil {
+		return 0, false, encErr
+	}
+	if len(blobs) == 0 {
 		if uctx.Err() != nil && ctx.Err() == nil {
 			return 0, false, nil // lost lease before finishing anything
 		}
 		return 0, false, runErr
 	}
-	// Checksum each record before it hits the wire, and stamp the
-	// delivery with a deterministic request id so retried or duplicated
-	// deliveries of this completion are recognized and replayed.
-	sums := make([]string, len(records))
-	for k, rec := range records {
-		sum, err := runner.ChecksumRecord(rec)
-		if err != nil {
-			return 0, false, fmt.Errorf("fabric: checksum record %d: %w", k, err)
-		}
-		sums[k] = sum
-	}
-	req := &CompleteRequest{
+	// Stamp the delivery with a deterministic request id so retried or
+	// duplicated deliveries of this completion are recognized and
+	// replayed.
+	body, err := encodeComplete(&CompleteRequest{
 		Worker:    w.id,
 		Lease:     lease.Lease,
 		Unit:      lease.Unit,
 		RequestID: completionRequestID(w.id, lease.Lease, lease.Unit),
-		Records:   records,
+		Records:   blobs,
 		Sums:      sums,
+	})
+	if err != nil {
+		return 0, false, err
 	}
 	var rep CompleteReply
 	// Completion for a lost lease is best-effort: the records are valid
 	// (fingerprint-checked) even if the unit was reassigned, and the
 	// coordinator deduplicates by job index.
-	cctx := ctx
-	if err := w.call(cctx, "/complete", req, &rep); err != nil {
+	if err := w.send(ctx, "/complete", body, &rep); err != nil {
 		if uctx.Err() != nil && ctx.Err() == nil {
 			return 0, false, nil
 		}

@@ -99,23 +99,6 @@ type JournalRecord struct {
 	Metrics telemetry.Snapshot `json:"metrics,omitempty"`
 }
 
-// ChecksumRecord returns the FNV-1a hash of the record's canonical
-// JSON form as fixed-width hex — the payload integrity check the
-// fabric's completion protocol runs over the wire. The hash is
-// representation-stable: Go's encoder emits struct fields in
-// declaration order and shortest-round-trip floats, so a decoded
-// record re-marshals to the same bytes the sender hashed, and any
-// in-transit corruption that changed a value changes the sum.
-func ChecksumRecord(rec *JournalRecord) (string, error) {
-	data, err := json.Marshal(rec)
-	if err != nil {
-		return "", err
-	}
-	h := fnv.New64a()
-	h.Write(data)
-	return telemetry.FormatFingerprint(h.Sum64()), nil
-}
-
 // LeaseRecord journals one fabric lease event: a unit granted to a
 // worker, an expired lease reclaimed, or a unit quarantined. Leases are
 // audit and telemetry records — resume correctness derives from job
@@ -152,13 +135,30 @@ type JournalReplay struct {
 // fingerprint it excludes the base seed as a separate word; the per-job
 // fingerprints already pin the derived seeds.
 func SweepFingerprint(jobs []Job) uint64 {
+	return SweepFingerprintOf(Fingerprints(jobs))
+}
+
+// SweepFingerprintOf is SweepFingerprint over per-job fingerprints the
+// caller already holds (see Fingerprints), so a fabric set-up that also
+// shards and validates by fingerprint hashes each profile only once.
+func SweepFingerprintOf(fps []uint64) uint64 {
 	h := fnv.New64a()
 	var buf [8]byte
-	for i := range jobs {
-		binary.LittleEndian.PutUint64(buf[:], jobs[i].Fingerprint())
+	for _, fp := range fps {
+		binary.LittleEndian.PutUint64(buf[:], fp)
 		h.Write(buf[:])
 	}
 	return h.Sum64()
+}
+
+// Fingerprints returns every job's scenario fingerprint, index-aligned
+// with jobs.
+func Fingerprints(jobs []Job) []uint64 {
+	fps := make([]uint64, len(jobs))
+	for i := range jobs {
+		fps[i] = jobs[i].Fingerprint()
+	}
+	return fps
 }
 
 // Journal is an append-only JSONL write-ahead log of completed sweep

@@ -14,7 +14,6 @@ import (
 
 	"evclimate/internal/cabin"
 	"evclimate/internal/control"
-	"evclimate/internal/sim"
 	"evclimate/internal/telemetry"
 )
 
@@ -499,47 +498,5 @@ func TestJournalFailedJobRerunOnResume(t *testing.T) {
 	}
 	if rec := rep.Records[0]; rec == nil || rec.Err != "" || rec.Result == nil {
 		t.Errorf("re-run not journaled over the failure: %+v", rec)
-	}
-}
-
-// TestChecksumRecordRoundTrip: the checksum survives a JSON round trip
-// (the coordinator re-marshals what it decoded), is stable across
-// calls, and changes when any payload value changes.
-func TestChecksumRecordRoundTrip(t *testing.T) {
-	rec := &JournalRecord{
-		Kind: "job", Index: 7, Fingerprint: "00deadbeef00caf3", Seed: -42,
-		Attempts: 2, ElapsedNs: 123456789,
-		Result: &sim.Result{AvgHVACW: 512.25, DeltaSoH: 0.00125},
-		Spans:  []telemetry.StepSpan{{Job: 7, Step: 1, TimeS: 2.5}},
-		Metrics: telemetry.Snapshot{
-			{Name: "a_total", Kind: "counter", Value: 3},
-		},
-	}
-	sum, err := ChecksumRecord(rec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(sum) != 16 {
-		t.Fatalf("checksum %q, want fixed-width hex", sum)
-	}
-	if again, _ := ChecksumRecord(rec); again != sum {
-		t.Errorf("checksum not stable: %s vs %s", sum, again)
-	}
-	// Wire round trip: decode + re-marshal must hash identically.
-	data, err := json.Marshal(rec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var back JournalRecord
-	if err := json.Unmarshal(data, &back); err != nil {
-		t.Fatal(err)
-	}
-	if got, _ := ChecksumRecord(&back); got != sum {
-		t.Errorf("round-tripped checksum %s, want %s", got, sum)
-	}
-	// Any value change changes the sum.
-	back.Result.DeltaSoH += 1e-9
-	if got, _ := ChecksumRecord(&back); got == sum {
-		t.Error("checksum unchanged after mutating the result payload")
 	}
 }
