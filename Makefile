@@ -117,10 +117,14 @@ test-netchaos:
 # model, the co-scheduling MPC extension (structured-vs-dense
 # equivalence on the enlarged stage problem), and the sim-level thermal
 # integration — end-to-end cold runs, checkpoint bit-exactness with
-# thermal state, and the bitwise trajectory golden.
+# thermal state, the bitwise trajectory golden, and the thermal batch
+# lanes: mixed thermal/cabin-only batches and their telemetry against
+# recorded digests, recorded thermal checkpoints resuming bit-exactly,
+# and the pack-coupled RHS against the ode.Integrate oracle.
 test-thermal:
 	$(GO) test ./internal/thermal/... ./internal/charging/...
-	$(GO) test -run 'Thermal|Calendar|CycleStress' ./internal/battery/... ./internal/core/... ./internal/sim/...
+	$(GO) test -run 'Thermal|Calendar|CycleStress' ./internal/battery/... ./internal/core/...
+	$(GO) test -run 'Thermal|PinnedDigests|RecordedCheckpoints|IntegrateLanesMatches' ./internal/sim/...
 	$(GO) test -run 'Cold' ./internal/experiments/...
 
 # Coverage-guided fuzzing of the QP interior-point solver: the dense
@@ -132,13 +136,17 @@ fuzz-qp:
 	$(GO) test -fuzz='^FuzzSolve$$' -fuzztime=1m ./internal/qp/
 	$(GO) test -fuzz='^FuzzStageKKT$$' -fuzztime=1m ./internal/qp/
 
-# Batched-execution suite: the SoA integrator and batched-controller
-# unit tests, the sim-level batch-vs-scalar bit-equivalence properties
-# (controllers × cycles × batch sizes, fault injection, checkpoint/
-# resume on batch boundaries), and the pool's batch planning /
-# sweep-equivalence tests under the race detector.
+# Batched-execution suite: the batched-controller unit tests, the fused
+# SoA integrator against the ode.Integrate/RK4 oracle, the sim-level
+# lane-of-1 vs lane-of-N bit-equivalence properties against digests
+# recorded from the pre-batch scalar step loop (controllers × cycles ×
+# batch sizes, thermal and mixed lanes, fault injection, telemetry,
+# checkpoint/resume on batch boundaries and from recorded checkpoints),
+# and the pool's batch planning / sweep-equivalence tests under the race
+# detector.
 test-batch:
-	$(GO) test -run 'Batch' ./internal/ode/... ./internal/control/... ./internal/sim/...
+	$(GO) test -run 'Batch' ./internal/control/...
+	$(GO) test -run 'Batch|IntegrateLanes|PinnedDigests|RecordedCheckpoints' ./internal/sim/...
 	$(GO) test -race -run 'Batch|PlanUnits' ./internal/runner/...
 
 # Pre-merge gate: full build + vet + tests, fault, crash-safety,

@@ -166,79 +166,6 @@ func TestSolveSPDRegularizes(t *testing.T) {
 	}
 }
 
-func TestQRLeastSquaresExact(t *testing.T) {
-	// Square nonsingular system: least squares equals exact solve.
-	a := FromRows([][]float64{
-		{2, 1},
-		{1, 3},
-	})
-	b := []float64{5, 10}
-	x, err := LeastSquares(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := Solve(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range x {
-		if math.Abs(x[i]-want[i]) > 1e-12 {
-			t.Errorf("x[%d] = %v, want %v", i, x[i], want[i])
-		}
-	}
-}
-
-func TestQRLeastSquaresOverdetermined(t *testing.T) {
-	// Fit y = 2t + 1 from noisy-free samples: exact recovery.
-	a := FromRows([][]float64{
-		{0, 1},
-		{1, 1},
-		{2, 1},
-		{3, 1},
-	})
-	b := []float64{1, 3, 5, 7}
-	x, err := LeastSquares(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(x[0]-2) > 1e-12 || math.Abs(x[1]-1) > 1e-12 {
-		t.Errorf("fit = %v, want [2 1]", x)
-	}
-}
-
-func TestQRLeastSquaresNormalEquations(t *testing.T) {
-	rng := rand.New(rand.NewSource(10))
-	for trial := 0; trial < 20; trial++ {
-		m := 5 + rng.Intn(10)
-		n := 1 + rng.Intn(4)
-		a := randomDense(rng, m, n)
-		b := make([]float64, m)
-		for i := range b {
-			b[i] = rng.NormFloat64()
-		}
-		x, err := LeastSquares(a, b)
-		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-		// Residual must be orthogonal to the column space: Aᵀ(Ax−b) = 0.
-		grad := a.MulVecT(SubVec(a.MulVec(x), b))
-		if Norm2(grad) > 1e-9*(1+Norm2(b)) {
-			t.Errorf("trial %d: normal-equation residual %v", trial, Norm2(grad))
-		}
-	}
-}
-
-func TestQRRankDeficient(t *testing.T) {
-	a := FromRows([][]float64{
-		{1, 2},
-		{2, 4},
-		{3, 6},
-	})
-	if _, err := LeastSquares(a, []float64{1, 2, 3}); err != ErrSingular {
-		t.Errorf("rank-deficient LS: err = %v, want ErrSingular", err)
-	}
-}
-
 func TestVectorOps(t *testing.T) {
 	x := []float64{1, 2, 3}
 	y := []float64{4, 5, 6}

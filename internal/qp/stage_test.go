@@ -271,7 +271,7 @@ func TestStageStructureCheck(t *testing.T) {
 }
 
 func TestBackendString(t *testing.T) {
-	if BackendAuto.String() != "auto" || BackendDense.String() != "dense" || BackendStructured.String() != "structured" {
+	if BackendAuto.String() != "auto" || BackendDense.String() != "dense" || Backend(7).String() != "backend(7)" {
 		t.Fatal("Backend.String mismatch")
 	}
 }

@@ -15,10 +15,6 @@ const (
 	// structure. The dense path is the golden reference the structured
 	// backend is tested against.
 	BackendDense
-	// BackendStructured behaves like BackendAuto: the structured path
-	// still requires a conforming declaration, and the solver still falls
-	// back to dense when a stage factorization loses quasi-definiteness.
-	BackendStructured
 )
 
 // String implements fmt.Stringer.
@@ -28,8 +24,6 @@ func (b Backend) String() string {
 		return "auto"
 	case BackendDense:
 		return "dense"
-	case BackendStructured:
-		return "structured"
 	default:
 		return fmt.Sprintf("backend(%d)", int(b))
 	}

@@ -12,9 +12,9 @@ import (
 
 // This file is the pool's batched execution path: eligible jobs are
 // grouped into sim.BatchRunner units and simulated N vehicles at a
-// time over SoA state. Every lane's result is bit-identical to the
-// scalar path (sim's batch equivalence property), so batching is purely
-// a scheduling decision — and one made from the expansion order alone,
+// time over SoA state. Every lane's result is bit-identical to running
+// that job alone (a one-lane batch; sim's lane-of-1 vs lane-of-N
+// property), so batching is purely a scheduling decision — and one made from the expansion order alone,
 // keeping sweep outputs worker-count-deterministic.
 
 // DefaultBatchSize is the lane count per batch when Options.BatchSize
@@ -46,9 +46,10 @@ func (pe *poolEnv) batchingEnabled() bool {
 }
 
 // batchKeyFor computes a job's batch group, probing the controller
-// family once (per Label+Key) for an SoA fast path. Jobs that cannot
-// batch — thermal lanes, non-batchable controllers, degenerate grids —
-// report ok=false and run scalar.
+// family once (per Label+Key) for an SoA fast path. Jobs the planner
+// does not group — thermal lanes (sim batches them; the planner does not
+// yet), non-batchable controllers, degenerate grids — report ok=false
+// and run alone.
 func (pe *poolEnv) batchKeyFor(job *Job, probe map[[2]string]bool) (batchKey, bool) {
 	cfg := &job.Config
 	if cfg.Thermal != nil || cfg.Profile == nil {

@@ -75,7 +75,7 @@ type Options struct {
 	// DefaultBatchSize; negative disables batching. Grouping follows
 	// expansion order and is independent of Workers, so sweep outputs
 	// stay worker-count-deterministic; each lane's result is bit-identical
-	// to the scalar path. Batching disengages automatically for sweeps
+	// to running that job alone. Batching disengages automatically for sweeps
 	// running a journal, record streaming, retries, or a job watchdog —
 	// those paths need per-job execution control.
 	BatchSize int

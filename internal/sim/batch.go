@@ -7,30 +7,32 @@ import (
 	"math"
 	"time"
 
+	"evclimate/internal/battery"
 	"evclimate/internal/bms"
 	"evclimate/internal/cabin"
 	"evclimate/internal/control"
 	"evclimate/internal/drivecycle"
 	"evclimate/internal/faults"
-	"evclimate/internal/ode"
 	"evclimate/internal/telemetry"
+	"evclimate/internal/thermal"
+	"evclimate/internal/units"
 )
 
 // BatchRunner steps N independent vehicles in lockstep over
 // structure-of-arrays plant state: one time loop, one batched RK4
 // integration over the concatenated cabin states, and one batched
-// controller decision per control step. Each lane's trajectory is
-// bit-for-bit identical to what the scalar Runner produces for the same
-// configuration — RK4 on concatenated state is element-wise, the
-// controller kernels are shared with the scalar path, and the per-lane
-// arithmetic preserves the scalar evaluation order — so the batch core
-// is a pure throughput optimization: it amortizes the time loop,
-// eliminates per-step allocations, and keeps the lane states hot in
-// cache, which is where the scalar sweep lost its cycles.
+// controller decision per control step. It is the package's only step
+// loop — Runner.RunWith runs as a one-lane batch — and each lane's
+// trajectory is bit-for-bit independent of the batch it rides in: RK4
+// on concatenated state is element-wise, the batched controller kernels
+// are the scalar Decide kernels, and every per-lane expression keeps
+// one evaluation order. Batching amortizes the time loop, keeps the
+// lane states hot in cache, and allocates nothing per step.
 //
-// Thermal-network lanes are rejected: the cold-climate plant couples a
-// second state and per-step network stepping that the SoA core does not
-// carry; those runs keep the scalar path.
+// Lanes with a thermal network (Config.Thermal) carry their own pack
+// state: the network steps once per control period, and the pack→cabin
+// conduction enters that lane's cabin RHS with the pack temperature
+// frozen over the period.
 type BatchRunner struct {
 	lanes    []*Runner
 	n        int     // control steps, equal across lanes
@@ -39,11 +41,10 @@ type BatchRunner struct {
 }
 
 // NewBatch validates the lane configurations and builds a lockstep
-// batch. Every lane gets its own scalar Runner (so per-lane physics,
-// drive cycles, targets, faults, and telemetry are free to differ), but
-// the lanes must share a time grid: equal ControlDt, PlantSubSteps, and
-// step count after defaulting. Thermal lanes are rejected — they keep
-// the scalar path.
+// batch. Every lane gets its own Runner (so per-lane physics, drive
+// cycles, targets, faults, thermal networks, and telemetry are free to
+// differ), but the lanes must share a time grid: equal ControlDt,
+// PlantSubSteps, and step count after defaulting.
 func NewBatch(cfgs []Config) (*BatchRunner, error) {
 	if len(cfgs) == 0 {
 		return nil, errors.New("sim: batch with no lanes")
@@ -51,10 +52,7 @@ func NewBatch(cfgs []Config) (*BatchRunner, error) {
 	br := &BatchRunner{lanes: make([]*Runner, len(cfgs))}
 	validated := make(map[*drivecycle.Profile]bool, len(cfgs))
 	for i, cfg := range cfgs {
-		if cfg.Thermal != nil {
-			return nil, fmt.Errorf("sim: batch lane %d has a thermal network; thermal lanes keep the scalar path", i)
-		}
-		r, err := buildRunnerShared(cfg, validated)
+		r, err := buildRunner(cfg, validated)
 		if err != nil {
 			return nil, fmt.Errorf("sim: batch lane %d: %w", i, err)
 		}
@@ -88,7 +86,7 @@ func NewBatch(cfgs []Config) (*BatchRunner, error) {
 }
 
 // stepCount returns the run's control-step count for the configuration,
-// the same n = ceil(duration/dt) the scalar RunWith computes.
+// n = ceil(duration/dt).
 func (r *Runner) stepCount() int {
 	return int(math.Ceil(r.cfg.Profile.Duration() / r.cfg.ControlDt))
 }
@@ -123,7 +121,7 @@ func sharesMotorBasis(a, b *Runner) bool {
 // Lanes returns the lane count.
 func (br *BatchRunner) Lanes() int { return len(br.lanes) }
 
-// Lane returns lane i's scalar Runner.
+// Lane returns lane i's Runner.
 func (br *BatchRunner) Lane(i int) *Runner { return br.lanes[i] }
 
 // Steps returns the shared control-step count.
@@ -138,9 +136,8 @@ type BatchRunOptions struct {
 	Context context.Context
 	// CheckpointEvery, with OnCheckpoint, emits one checkpoint per lane
 	// after every CheckpointEvery-th completed control step — the same
-	// boundaries, contents, and JSON bytes the scalar Runner's
-	// checkpoints carry, so a batch checkpoint resumes a scalar run and
-	// vice versa.
+	// boundaries, contents, and JSON bytes a one-lane run of that lane
+	// emits, so a lane checkpoint resumes Runner.RunWith and vice versa.
 	CheckpointEvery int
 	// OnCheckpoint receives lane checkpoints in lane order; a non-nil
 	// error aborts the run.
@@ -156,31 +153,54 @@ type BatchRunOptions struct {
 // 64-byte struct per lane keeps the integration inner loop to a single
 // indexed load. prof is nil when the environment is constant over the
 // profile (the sweep-grid common case), in which case ambC/solW hold the
-// EnvSampler fast-path values.
+// EnvSampler fast-path values. pack is nil unless the lane has a thermal
+// network.
 type rhsLane struct {
-	ua, cc, cp float64 // shell UA (W/K), capacitance (J/K), air cp (J/(kg·K))
+	ua, cc     float64 // shell UA (W/K) and capacitance (J/K)
 	fcp, ts    float64 // ṁ·cp (W/K) and supply temp, rewritten every control step
 	ambC, solW float64 // constant-environment fast path
 	prof       *drivecycle.Profile
+	pack       *packCoupling
+}
+
+// packCoupling is the pack→cabin conduction term of a thermal lane's
+// cabin RHS, kbc·(Tb − T)/C, with the pack temperature Tb frozen over the
+// control period (the network itself steps once per period).
+type packCoupling struct {
+	kbc float64 // pack↔cabin conductance UAPackCabinWK (W/K)
+	tb  float64 // pack temperature, rewritten every control step
+}
+
+// newRHSLane builds a lane's RHS slot for the cabin parameters and
+// profile, resolving the constant-environment fast path once.
+func newRHSLane(p cabin.Params, prof *drivecycle.Profile) rhsLane {
+	l := rhsLane{ua: p.ShellUAWK, cc: p.ThermalCapacitanceJK}
+	if ambC, solW, ok := drivecycle.NewEnvSampler(prof).ConstantEnv(); ok {
+		l.ambC, l.solW = ambC, solW
+	} else {
+		l.prof = prof
+	}
+	return l
 }
 
 // integrateLanes advances the concatenated cabin states from t0 to t1
-// with fixed substep dt: ode.BatchRK4.IntegrateInto with the cabin RHS
-// inlined, each stage's derivative evaluation fused with the state
-// combination that feeds the next stage. The per-lane arithmetic — the
-// stage formulas, the shortened last step, and the post-step non-finite
-// check — mirrors BatchRK4 exactly, so each lane remains bit-identical
-// to a scalar one-lane integration (RK4 on concatenated state is
-// element-wise). k1/k2/k3/tmp are caller-owned workspace of lane length.
+// with fixed substep dt: classical RK4 with the cabin RHS inlined, each
+// stage's derivative evaluation fused with the state combination that
+// feeds the next stage. The per-lane arithmetic — the stage formulas,
+// the shortened last step, and the post-step non-finite check — is
+// ode.Integrate with ode.RK4 on that lane alone (RK4 on concatenated
+// state is element-wise). k1/k2/k3/tmp are caller-owned workspace of
+// lane length.
 //
 // Each stage repeats the derivative body instead of calling a helper:
 // cabin.Model.CabinDerivative over one rhsLane — the same expression
 // tree ((solar + UA·(amb−T)) + (ṁ·cp)·(Ts−T)) / C in the same
-// association, so every intermediate rounds identically to the scalar
-// path; fcp carries the scalar path's ṁ·cp product, which that
-// expression also forms first. (A shared helper exceeds the inlining
-// budget because of the varying-environment EnvAt call, turning the
-// innermost loops into four function calls per lane per substep.)
+// association, so every intermediate rounds identically to the model's
+// own method; fcp carries the ṁ·cp product, which that expression also
+// forms first. A thermal lane then adds its pack coupling,
+// kbc·(Tb−T)/C. (A shared helper exceeds the inlining budget because of
+// the varying-environment EnvAt call, turning the innermost loops into
+// four function calls per lane per substep.)
 func integrateLanes(rhs []rhsLane, x, k1, k2, k3, tmp []float64, t0, t1, dt float64) error {
 	x = x[:len(rhs)]
 	k1 = k1[:len(rhs)]
@@ -206,6 +226,9 @@ func integrateLanes(rhs []rhsLane, x, k1, k2, k3, tmp []float64, t0, t1, dt floa
 			xi := x[i]
 			q := sol + l.ua*(amb-xi)
 			d := (q + l.fcp*(l.ts-xi)) / l.cc
+			if pc := l.pack; pc != nil {
+				d += pc.kbc * (pc.tb - xi) / l.cc
+			}
 			k1[i] = d
 			tmp[i] = xi + h/2*d
 		}
@@ -218,6 +241,9 @@ func integrateLanes(rhs []rhsLane, x, k1, k2, k3, tmp []float64, t0, t1, dt floa
 			xi := tmp[i]
 			q := sol + l.ua*(amb-xi)
 			d := (q + l.fcp*(l.ts-xi)) / l.cc
+			if pc := l.pack; pc != nil {
+				d += pc.kbc * (pc.tb - xi) / l.cc
+			}
 			k2[i] = d
 			tmp[i] = x[i] + h/2*d
 		}
@@ -230,6 +256,9 @@ func integrateLanes(rhs []rhsLane, x, k1, k2, k3, tmp []float64, t0, t1, dt floa
 			xi := tmp[i]
 			q := sol + l.ua*(amb-xi)
 			d := (q + l.fcp*(l.ts-xi)) / l.cc
+			if pc := l.pack; pc != nil {
+				d += pc.kbc * (pc.tb - xi) / l.cc
+			}
 			k3[i] = d
 			tmp[i] = x[i] + h*d
 		}
@@ -242,21 +271,24 @@ func integrateLanes(rhs []rhsLane, x, k1, k2, k3, tmp []float64, t0, t1, dt floa
 			xi := tmp[i]
 			q := sol + l.ua*(amb-xi)
 			d := (q + l.fcp*(l.ts-xi)) / l.cc
+			if pc := l.pack; pc != nil {
+				d += pc.kbc * (pc.tb - xi) / l.cc
+			}
 			x[i] = x[i] + h/6*(k1[i]+2*k2[i]+2*k3[i]+d)
 		}
 		t += h
 		for i, v := range x {
 			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return &ode.NonFiniteLaneError{Lane: i, T: t}
+				return fmt.Errorf("ode: non-finite state at t=%v (lane %d)", t, i)
 			}
 		}
 	}
 	return nil
 }
 
-// batchLane is one lane's mutable run state: the scalar Runner's
-// runState fields in per-lane form, plus the step scratch the fused
-// loop's passes hand each other.
+// batchLane is one lane's mutable run state — the BMS, fault injector,
+// thermal network, and metric accumulators a checkpoint captures — plus
+// the step scratch the fused loop's passes hand each other.
 type batchLane struct {
 	r   *Runner
 	b   *bms.BMS
@@ -266,22 +298,40 @@ type batchLane struct {
 	hvacJ, motorJ, totalJ              float64
 	comfortViol, comfortCount, trackSq float64
 
+	// Thermal-network plant state and accumulators (nil/zero when the
+	// lane has no thermal network); pack is the coupling term the lane's
+	// rhsLane points at.
+	th                *thermal.State
+	pack              packCoupling
+	cal               battery.CalendarParams
+	calPct            float64
+	hpSteps, ptcSteps int
+	copSum            float64
+
 	telOn      bool
 	tel        telemetry.Sink
 	telSteps   *telemetry.Counter
 	telLatency *telemetry.Histogram
+	telPack    *telemetry.Gauge
+	telCOP     *telemetry.Gauge
+	telHPSteps *telemetry.Counter
+	telPTC     *telemetry.Counter
 	solver     control.SolveReporter
 	ladder     control.LadderReporter
 
 	// Per-step scratch written by the pre-integration passes and read by
 	// the post-integration pass. prevTz is the pre-step cabin
 	// temperature, saved because the batched integration updates the SoA
-	// state in place.
+	// state in place. heaterElecW is the heater's electrical draw — the
+	// heat pump's (or PTC's) conversion of the delivered heat on thermal
+	// lanes, pw.HeaterW otherwise; hpEff/hpPTC are that conversion.
 	amb, sol, pe, socBefore float64
 	prevTz                  float64
 	in                      cabin.Inputs
 	pw                      cabin.Powers
-	hvacW                   float64
+	heaterElecW, hvacW      float64
+	hpEff                   float64
+	hpPTC                   bool
 }
 
 // Run simulates every lane to completion under the batch controller and
@@ -290,20 +340,26 @@ func (br *BatchRunner) Run(bc control.BatchController) ([]*Result, error) {
 	return br.RunWith(bc, BatchRunOptions{})
 }
 
-// RunWith simulates the lanes in lockstep with durability controls,
-// mirroring the scalar Runner.RunWith per lane: each lane's Result,
-// trace, checkpoints, and telemetry are bit-identical to a scalar run
-// of the same configuration and controller.
+// RunWith simulates the lanes in lockstep with durability controls: each
+// lane's Result, trace, checkpoints, and telemetry are bit-identical to
+// a one-lane run of the same configuration and controller.
 func (br *BatchRunner) RunWith(bc control.BatchController, opts BatchRunOptions) ([]*Result, error) {
 	nl := len(br.lanes)
 	if bc.Lanes() != nl {
 		return nil, fmt.Errorf("sim: batch controller has %d lanes, runner has %d", bc.Lanes(), nl)
 	}
 	bc.Reset()
+	// Write SoA controller state back into the lane controllers on every
+	// exit, so Lane(i) reflects the run even when it aborts.
+	if ls, ok := bc.(control.LaneSyncer); ok {
+		defer ls.SyncLanes()
+	}
 
 	lanes := make([]batchLane, nl)
-	// The SoA state and per-step context/decision arrays.
-	x := make([]float64, nl)
+	// The SoA state, the fused RK4's workspace (see integrateLanes), and
+	// the per-step context/decision arrays.
+	ws := make([]float64, 5*nl)
+	x, k1, k2, k3, tmp := ws[:nl], ws[nl:2*nl], ws[2*nl:3*nl], ws[3*nl:4*nl], ws[4*nl:]
 	ctxs := make([]control.StepContext, nl)
 	decs := make([]cabin.Inputs, nl)
 	// SoA plant state for the fused RHS: the cabin derivative reads only
@@ -325,26 +381,41 @@ func (br *BatchRunner) RunWith(bc control.BatchController, opts BatchRunOptions)
 			x[i] = cfg.Profile.Samples[0].AmbientC
 		}
 		ln.res = &Result{Controller: bc.Lane(i).Name()}
+		// The fault injector sits between the plant and the controller:
+		// it corrupts what the controller observes, never what the plant
+		// does.
 		if !cfg.Faults.Empty() {
 			ln.inj = cfg.Faults.New(cfg.FaultSeed)
 		}
-		rl := &rhs[i]
-		if ambC, solW, ok := drivecycle.NewEnvSampler(cfg.Profile).ConstantEnv(); ok {
-			rl.ambC, rl.solW = ambC, solW
-		} else {
-			rl.prof = cfg.Profile
+		rhs[i] = newRHSLane(r.hvac.Params(), cfg.Profile)
+		if cfg.Thermal != nil {
+			th, err := thermal.NewState(*cfg.Thermal, cfg.Profile.Samples[0].AmbientC)
+			if err != nil {
+				return nil, fmt.Errorf("sim: batch lane %d: %w", i, err)
+			}
+			ln.th = th
+			ln.cal = battery.DefaultCalendarParams()
+			ln.pack.kbc = cfg.Thermal.Network.UAPackCabinWK
+			rhs[i].pack = &ln.pack
 		}
-		cp := r.hvac.Params()
-		rl.ua = cp.ShellUAWK
-		rl.cp = cp.AirCpJKgK
-		rl.cc = cp.ThermalCapacitanceJK
+		// Telemetry is resolved once; when the sink is inactive the loop
+		// pays only a boolean test per step.
 		ln.tel = cfg.Telemetry
 		ln.telOn = ln.tel != nil && ln.tel.Active()
 		if ln.telOn {
 			ln.telSteps = ln.tel.Counter("sim_steps_total")
 			ln.telLatency = ln.tel.Histogram("sim_step_latency_seconds", telemetry.LatencyBuckets)
+			if ln.th != nil {
+				ln.telPack = ln.tel.Gauge("sim_pack_temp_c")
+				ln.telCOP = ln.tel.Gauge("sim_heatpump_cop")
+				ln.telHPSteps = ln.tel.Counter("sim_heatpump_steps_total")
+				ln.telPTC = ln.tel.Counter("sim_ptc_steps_total")
+			}
 			ln.solver, _ = bc.Lane(i).(control.SolveReporter)
 			ln.ladder, _ = bc.Lane(i).(control.LadderReporter)
+			// Late-bind the run's sink into the controller so solver and
+			// ladder metrics land under this run's labels even when the
+			// controller came from a zero-argument sweep constructor.
 			if tb, ok := bc.Lane(i).(control.TelemetryBinder); ok {
 				tb.BindTelemetry(ln.tel)
 			}
@@ -361,17 +432,13 @@ func (br *BatchRunner) RunWith(bc control.BatchController, opts BatchRunOptions)
 	}
 
 	// Preallocate every lane's trace and SoC trace to the known step
-	// count so the per-step appends never regrow mid-run.
+	// count (after any resume has restored its shorter prefix) so the
+	// per-step appends never regrow mid-run.
 	for i := range lanes {
-		growTrace(&lanes[i].res.Trace, br.n, false)
+		growTrace(&lanes[i].res.Trace, br.n, lanes[i].th != nil)
 		lanes[i].b.Grow(br.n)
 	}
 
-	// Workspace for the fused batched RK4 (see integrateLanes).
-	k1 := make([]float64, nl)
-	k2 := make([]float64, nl)
-	k3 := make([]float64, nl)
-	tmp := make([]float64, nl)
 	sub := br.dt / float64(br.subSteps)
 	anyTel := false
 	for i := range lanes {
@@ -385,7 +452,8 @@ func (br *BatchRunner) RunWith(bc control.BatchController, opts BatchRunOptions)
 		if opts.Context != nil {
 			if cerr := opts.Context.Err(); cerr != nil {
 				// Graceful drain: flush one checkpoint per lane so the
-				// caller can resume the whole batch from this boundary.
+				// caller can resume the whole batch from this boundary;
+				// the context error wins over any checkpoint-sink failure.
 				if opts.OnCheckpoint != nil {
 					for i := range lanes {
 						if ck, snapErr := br.laneCheckpoint(bc, &lanes[i], i, k, x[i]); snapErr == nil {
@@ -398,8 +466,8 @@ func (br *BatchRunner) RunWith(bc control.BatchController, opts BatchRunOptions)
 		}
 
 		// Pass 1: observe — per lane, sample the environment, motor
-		// power, and SoC, and build the (possibly fault-corrupted)
-		// controller context, exactly as the scalar loop does.
+		// power, SoC, and pack temperature, and build the (possibly
+		// fault-corrupted) controller context.
 		for i := range lanes {
 			ln := &lanes[i]
 			cfg := &ln.r.cfg
@@ -426,8 +494,13 @@ func (br *BatchRunner) RunWith(bc control.BatchController, opts BatchRunOptions)
 			c.ComfortLowC = cfg.TargetC - cfg.ComfortBandC
 			c.ComfortHighC = cfg.TargetC + cfg.ComfortBandC
 			c.SolverIterBudget = 0
-			c.PackTempC = 0
-			c.PackThermal = false
+			if ln.th != nil {
+				c.PackTempC = ln.th.PackC()
+				c.PackThermal = true
+			} else {
+				c.PackTempC = 0
+				c.PackThermal = false
+			}
 			if cfg.ForecastSteps > 0 {
 				c.Forecast = ln.r.forecast(t, cfg.ForecastSteps)
 			} else {
@@ -454,15 +527,25 @@ func (br *BatchRunner) RunWith(bc control.BatchController, opts BatchRunOptions)
 			ln.in = decs[i]
 			mix := ln.r.hvac.ClampForEnvironmentInPlace(&ln.in, ln.amb, x[i])
 			// Zero-order-held RHS inputs for this control period, in the
-			// scalar derivative's association: ṁ·cp first, then ·(Ts−T).
+			// cabin derivative's association: ṁ·cp first, then ·(Ts−T).
 			rl := &rhs[i]
-			rl.fcp = ln.in.AirFlowKgS * rl.cp
+			rl.fcp = ln.in.AirFlowKgS * ln.r.cfg.Cabin.AirCpJKgK
 			rl.ts = ln.in.SupplyTempC
 			ln.pw = ln.r.hvac.PowersFor(ln.in, mix)
-			// Matches the scalar loop's heater accounting (which the
-			// thermal branch rewrites; batch lanes are never thermal).
-			heaterElecW := ln.pw.HeaterW
-			ln.hvacW = ln.pw.Total() - ln.pw.HeaterW + heaterElecW
+			// Cabin heating runs through the heat pump on thermal lanes:
+			// the plant's delivered heat pw.HeaterW·EtaHeat is unchanged,
+			// only the electrical conversion follows the COP at the
+			// current ambient (or the PTC efficiency below the cutoff).
+			ln.heaterElecW = ln.pw.HeaterW
+			ln.hpEff, ln.hpPTC = 0, false
+			if ln.th != nil {
+				if ln.pw.HeaterW > 0 {
+					ln.hpEff, ln.hpPTC = ln.th.Heating(ln.amb)
+					ln.heaterElecW = ln.pw.HeaterW * ln.r.cfg.Cabin.EtaHeat / ln.hpEff
+				}
+				ln.pack.tb = ln.th.PackC()
+			}
+			ln.hvacW = ln.pw.Total() - ln.pw.HeaterW + ln.heaterElecW
 		}
 		var stepLatency time.Duration
 		if anyTel {
@@ -475,16 +558,42 @@ func (br *BatchRunner) RunWith(bc control.BatchController, opts BatchRunOptions)
 			return nil, fmt.Errorf("sim: plant integration failed at t=%v: %w", t, err)
 		}
 
-		// Pass 4: account — per lane, battery step, telemetry, trace, and
-		// metric accumulators, in the scalar loop's exact order. The
-		// pre-step cabin temperature feeds the trace and comfort
-		// statistics; the integrated state lands in ctxs[i].CabinTempC's
-		// successor next iteration.
+		// Pass 4: account — per lane, thermal network and battery step,
+		// calendar aging, telemetry, trace, and metric accumulators. The
+		// pre-step cabin temperature feeds the network, the trace, and the
+		// comfort statistics; the integrated state lands in ctxs[i]
+		// next iteration.
 		for i := range lanes {
 			ln := &lanes[i]
 			cfg := &ln.r.cfg
 			total := ln.pe + ln.hvacW + cfg.Powertrain.AccessoryW
+			th := ln.th
+			if th != nil {
+				// Pack Joule self-heating at the pre-branch current feeds
+				// the thermal network and drains the battery; the (clamped)
+				// battery heater/chiller electrical draw adds on top.
+				iPack := total / cfg.BMS.Pack.NominalVoltageV
+				jouleW := iPack * iPack * th.PackResistanceOhm()
+				fl := th.Step(ln.prevTz, ln.amb, jouleW, ln.in.BattHeatW, ln.in.BattChillW, cfg.ControlDt)
+				total += fl.HeaterElecW + fl.ChillerElecW + jouleW
+			}
 			_, soc := ln.b.Step(total, cfg.ControlDt)
+			if th != nil {
+				// Calendar aging accrues continuously at the pack
+				// temperature and the storage SoC, with the sqrt(t) kernel
+				// evaluated at the pack's running age.
+				age := ln.cal
+				age.AgeDays += t / units.SecondsPerDay
+				ln.calPct += age.LossPercent(th.PackC(), soc, cfg.ControlDt)
+				if ln.pw.HeaterW > 0 {
+					if ln.hpPTC {
+						ln.ptcSteps++
+					} else {
+						ln.hpSteps++
+						ln.copSum += ln.hpEff
+					}
+				}
+			}
 
 			if ln.telOn {
 				ln.telSteps.Inc()
@@ -515,6 +624,21 @@ func (br *BatchRunner) RunWith(bc control.BatchController, opts BatchRunOptions)
 					span.Rung = ln.ladder.Level()
 					span.Stage = ln.ladder.ActiveStage()
 				}
+				if th != nil {
+					span.PackC = th.PackC()
+					span.BattHeatW = ln.in.BattHeatW
+					span.BattChillW = ln.in.BattChillW
+					ln.telPack.Set(th.PackC())
+					if ln.pw.HeaterW > 0 {
+						span.COP = ln.hpEff
+						ln.telCOP.Set(ln.hpEff)
+						if ln.hpPTC {
+							ln.telPTC.Inc()
+						} else {
+							ln.telHPSteps.Inc()
+						}
+					}
+				}
 				ln.tel.Step(&span)
 			}
 
@@ -523,12 +647,15 @@ func (br *BatchRunner) RunWith(bc control.BatchController, opts BatchRunOptions)
 			tr.CabinC = append(tr.CabinC, ln.prevTz)
 			tr.OutsideC = append(tr.OutsideC, ln.amb)
 			tr.MotorW = append(tr.MotorW, ln.pe)
-			tr.HeaterW = append(tr.HeaterW, ln.pw.HeaterW)
+			tr.HeaterW = append(tr.HeaterW, ln.heaterElecW)
 			tr.CoolerW = append(tr.CoolerW, ln.pw.CoolerW)
 			tr.FanW = append(tr.FanW, ln.pw.FanW)
 			tr.HVACW = append(tr.HVACW, ln.hvacW)
 			tr.TotalW = append(tr.TotalW, total)
 			tr.SoC = append(tr.SoC, soc)
+			if th != nil {
+				tr.PackC = append(tr.PackC, th.PackC())
+			}
 			tr.Inputs = append(tr.Inputs, ln.in)
 
 			ln.hvacJ += ln.hvacW * cfg.ControlDt
@@ -562,11 +689,6 @@ func (br *BatchRunner) RunWith(bc control.BatchController, opts BatchRunOptions)
 		}
 	}
 
-	// Write SoA state back into the lane controllers so Lane(i) reflects
-	// the run, then finalize per-lane results exactly as the scalar path.
-	if ls, ok := bc.(control.LaneSyncer); ok {
-		ls.SyncLanes()
-	}
 	out := make([]*Result, nl)
 	for i := range lanes {
 		ln := &lanes[i]
@@ -589,6 +711,23 @@ func (br *BatchRunner) RunWith(bc control.BatchController, opts BatchRunOptions)
 			return nil, fmt.Errorf("sim: batch lane %d: %w", i, err)
 		}
 		res.DeltaSoH = dsoh
+		if th := ln.th; th != nil {
+			// Cold (or hot) cycling accelerates cycle fade: scale the cycle
+			// term by the U-shaped pack-temperature stress factor, and
+			// report the calendar (storage) term alongside.
+			res.DeltaSoH = dsoh * battery.CycleStressFactor(th.MeanPackC())
+			res.CalendarDeltaSoH = ln.calPct
+			res.PackMeanC = th.MeanPackC()
+			res.PackMinC = th.MinPackC()
+			res.PackFinalC = th.PackC()
+			res.ThermalEnergyDefectJ = th.EnergyDefectJ()
+			if heatSteps := ln.hpSteps + ln.ptcSteps; heatSteps > 0 {
+				res.HeatPumpFrac = float64(ln.hpSteps) / float64(heatSteps)
+			}
+			if ln.hpSteps > 0 {
+				res.AvgCOP = ln.copSum / float64(ln.hpSteps)
+			}
+		}
 		if ln.comfortCount > 0 {
 			res.ComfortViolationFrac = ln.comfortViol / ln.comfortCount
 			res.RMSTrackingErrC = math.Sqrt(ln.trackSq / ln.comfortCount)
@@ -598,9 +737,10 @@ func (br *BatchRunner) RunWith(bc control.BatchController, opts BatchRunOptions)
 	return out, nil
 }
 
-// laneCheckpoint captures lane i's state at the current step boundary
-// in the scalar Checkpoint format (same fields, same JSON), so batch
-// checkpoints interoperate with scalar resume and vice versa.
+// laneCheckpoint captures lane i's complete state at the step boundary k:
+// the cabin temperature tz, the metric accumulators, the trace so far,
+// and the BMS, fault-injector, thermal-network, and controller state.
+// The checkpoint shares nothing with the run.
 func (br *BatchRunner) laneCheckpoint(bc control.BatchController, ln *batchLane, i, k int, tz float64) (*Checkpoint, error) {
 	snap, ok := bc.(control.BatchSnapshotter)
 	if !ok {
@@ -629,12 +769,22 @@ func (br *BatchRunner) laneCheckpoint(bc control.BatchController, ln *batchLane,
 		fs := ln.inj.State()
 		ck.Faults = &fs
 	}
+	if ln.th != nil {
+		ck.Thermal = &ThermalCheckpoint{
+			State:       ln.th.Snapshot(),
+			CalendarPct: ln.calPct,
+			HPSteps:     ln.hpSteps,
+			PTCSteps:    ln.ptcSteps,
+			COPSum:      ln.copSum,
+		}
+	}
 	return ck, nil
 }
 
-// restore loads one checkpoint per lane (all at the same step) into the
-// batch state, mirroring the scalar Runner's restore validation per
-// lane, and returns the resumed step index.
+// restore validates one checkpoint per lane (all at the same step)
+// against the run being started, loads them into the batch state, and
+// returns the resumed step index. The controller has already been Reset
+// and had its telemetry bound.
 func (br *BatchRunner) restore(bc control.BatchController, lanes []batchLane, x []float64, cks []*Checkpoint) (int, error) {
 	if len(cks) != len(lanes) {
 		return 0, fmt.Errorf("sim: batch resume has %d checkpoints for %d lanes", len(cks), len(lanes))
@@ -669,7 +819,7 @@ func (br *BatchRunner) restore(bc control.BatchController, lanes []batchLane, x 
 		if (ck.Faults != nil) != (ln.inj != nil) {
 			return 0, errors.New("sim: checkpoint fault state does not match the run's fault configuration")
 		}
-		if ck.Thermal != nil {
+		if (ck.Thermal != nil) != (ln.th != nil) {
 			return 0, errors.New("sim: checkpoint thermal state does not match the run's thermal configuration")
 		}
 		if len(ck.CtrlState) == 0 {
@@ -683,6 +833,14 @@ func (br *BatchRunner) restore(bc control.BatchController, lanes []batchLane, x 
 		}
 		if ln.inj != nil {
 			ln.inj.SetState(*ck.Faults)
+		}
+		if ln.th != nil {
+			if err := ln.th.Restore(ck.Thermal.State); err != nil {
+				return 0, err
+			}
+			ln.calPct = ck.Thermal.CalendarPct
+			ln.hpSteps, ln.ptcSteps = ck.Thermal.HPSteps, ck.Thermal.PTCSteps
+			ln.copSum = ck.Thermal.COPSum
 		}
 		ln.res.Trace = copyTrace(&ck.Trace)
 		x[i] = ck.CabinC

@@ -63,36 +63,30 @@ func batchLaneConfigs(t *testing.T, cycle string, n int) []Config {
 	return cfgs
 }
 
-// batchControllers builds one controller per lane of the given kind.
+// batchControllers builds one controller per lane of the given kind;
+// "mixed" alternates on/off and fuzzy lanes.
 func batchControllers(t *testing.T, kind string, n int) []control.Controller {
 	t.Helper()
 	out := make([]control.Controller, n)
 	for i := range out {
-		switch kind {
-		case "onoff":
-			out[i] = control.NewOnOff(hvacModel(t))
-		case "fuzzy":
-			out[i] = control.NewFuzzy(hvacModel(t))
-		case "mixed":
-			if i%2 == 0 {
-				out[i] = control.NewOnOff(hvacModel(t))
-			} else {
-				out[i] = control.NewFuzzy(hvacModel(t))
-			}
-		default:
-			t.Fatalf("unknown controller kind %q", kind)
+		k := kind
+		if kind == "mixed" {
+			k = []string{"onoff", "fuzzy"}[i%2]
 		}
+		out[i] = laneController(t, k)
 	}
 	return out
 }
 
-// TestBatchMatchesScalarBitExact is the tentpole property pin: for
-// on/off and fuzzy controllers across three drive cycles and batch
-// sizes 1, 3, and 16 — with lanes varying target, ambient (constant and
-// sinusoidal), solar, and fault injection — every lane of a batched run
-// is bit-for-bit identical (full Result JSON, traces included) to the
-// scalar Runner on the same configuration, and the batched results
-// satisfy the physical invariants. The mixed-controller case pins the
+// TestBatchMatchesScalarBitExact is the lane-of-1 vs lane-of-N property
+// pin: for on/off and fuzzy controllers across three drive cycles and
+// batch sizes 1, 3, and 16 — with lanes varying target, ambient
+// (constant and sinusoidal), solar, and fault injection — every lane of
+// a batched run is bit-for-bit identical (full Result JSON, traces
+// included) to a scalar Runner.Run of the same configuration (a one-lane
+// batch), both reproduce the digest the retired scalar step loop
+// recorded for that lane (resultPins), and the batched results satisfy
+// the physical invariants. The mixed-controller case pins the
 // ScalarBatch fallback path.
 func TestBatchMatchesScalarBitExact(t *testing.T) {
 	cycles := []string{"ECE15", "UDDS", "US06"}
@@ -117,19 +111,18 @@ func TestBatchMatchesScalarBitExact(t *testing.T) {
 					}
 
 					for i, cfg := range cfgs {
-						r, err := New(cfg)
-						if err != nil {
-							t.Fatal(err)
-						}
-						sres, err := r.Run(batchControllers(t, kind, size)[i])
-						if err != nil {
-							t.Fatal(err)
-						}
+						ctrl := batchControllers(t, kind, size)[i]
+						sres := runLaneOfOne(t, cfg, ctrl)
 						want, _ := json.Marshal(sres)
 						got, _ := json.Marshal(bres[i])
 						if string(want) != string(got) {
 							t.Errorf("lane %d: batch result diverges from scalar", i)
 						}
+						laneKind := "onoff"
+						if _, ok := ctrl.(*control.Fuzzy); ok {
+							laneKind = "fuzzy"
+						}
+						checkResultPin(t, fmt.Sprintf("%s/%s/%d", cyc, laneKind, i), bres[i])
 						// Fault-corrupted lanes can legitimately violate the
 						// conformance rules (a stuck sensor makes the fuzzy
 						// controller heat a hot cabin); clean lanes must not.
@@ -150,15 +143,16 @@ func TestBatchMatchesScalarBitExact(t *testing.T) {
 }
 
 // TestBatchCheckpointResumeBitExact pins batch durability: checkpoints
-// emitted at a batch boundary round-trip through JSON and resume (a)
-// a fresh batch and (b) a fresh scalar Runner per lane — both
-// reproducing the uninterrupted batch bit for bit. A scalar-emitted
-// checkpoint conversely resumes the batch, proving the formats are
-// cross-compatible.
+// emitted at a batch boundary — a thermal lane's included — round-trip
+// through JSON and resume (a) a fresh batch and (b) a fresh scalar
+// Runner per lane, both reproducing the uninterrupted batch bit for bit
+// and the digests the retired scalar step loop recorded. Scalar-emitted
+// checkpoints conversely resume the batch, proving the lane-of-1 and
+// lane-of-N formats are cross-compatible.
 func TestBatchCheckpointResumeBitExact(t *testing.T) {
-	const size = 4
 	const at = 97
-	cfgs := batchLaneConfigs(t, "ECE15", size)
+	cfgs := checkpointLaneConfigs(t)
+	size := len(cfgs)
 
 	br, err := NewBatch(cfgs)
 	if err != nil {
@@ -186,11 +180,15 @@ func TestBatchCheckpointResumeBitExact(t *testing.T) {
 		if ck == nil || ck.Step != at {
 			t.Fatalf("lane %d: missing checkpoint at step %d", i, at)
 		}
+		if (ck.Thermal != nil) != (cfgs[i].Thermal != nil) {
+			t.Errorf("lane %d: checkpoint thermal state %v, lane thermal %v", i, ck.Thermal != nil, cfgs[i].Thermal != nil)
+		}
 	}
 	refJSON := make([]string, size)
 	for i := range ref {
 		raw, _ := json.Marshal(ref[i])
 		refJSON[i] = string(raw)
+		checkResultPin(t, fmt.Sprintf("resume/fuzzy/%d", i), ref[i])
 	}
 
 	// (a) Batch resume on fresh runners and controllers.
@@ -326,20 +324,29 @@ func TestBatchAbortFlushesCheckpoints(t *testing.T) {
 	}
 }
 
-// TestNewBatchValidation pins the grouping preconditions: thermal lanes,
-// mismatched time grids, empty batches, and lane-count mismatches are
-// rejected with diagnostics.
+// TestNewBatchValidation pins the grouping preconditions: invalid
+// thermal networks, mismatched time grids, empty batches, and lane-count
+// mismatches are rejected with diagnostics.
 func TestNewBatchValidation(t *testing.T) {
 	if _, err := NewBatch(nil); err == nil {
 		t.Error("empty batch accepted")
 	}
 	cfgs := batchLaneConfigs(t, "ECE15", 2)
 
+	// A thermal lane joins a batch on the shared grid; its network
+	// configuration is validated like any other lane parameter.
 	th := cfgs[1]
 	thc := thermal.DefaultThermal()
 	th.Thermal = &thc
+	if _, err := NewBatch([]Config{cfgs[0], th}); err != nil {
+		t.Errorf("thermal lane rejected: %v", err)
+	}
+	bad := thc
+	bad.PackFromAmbient = false
+	bad.InitialPackC = math.NaN()
+	th.Thermal = &bad
 	if _, err := NewBatch([]Config{cfgs[0], th}); err == nil {
-		t.Error("thermal lane accepted")
+		t.Error("thermal lane with an invalid network accepted")
 	}
 
 	slow := cfgs[1]

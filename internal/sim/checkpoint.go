@@ -3,18 +3,14 @@ package sim
 import (
 	"context"
 	"encoding/json"
-	"errors"
-	"fmt"
 
-	"evclimate/internal/battery"
 	"evclimate/internal/bms"
 	"evclimate/internal/cabin"
-	"evclimate/internal/control"
 	"evclimate/internal/faults"
 	"evclimate/internal/thermal"
 )
 
-// CheckpointVersion is the checkpoint schema version; Restore refuses
+// CheckpointVersion is the checkpoint schema version; a resume refuses
 // checkpoints written by a different schema.
 const CheckpointVersion = 1
 
@@ -91,146 +87,6 @@ type ThermalCheckpoint struct {
 	HPSteps     int              `json:"hp_steps"`
 	PTCSteps    int              `json:"ptc_steps"`
 	COPSum      float64          `json:"cop_sum"`
-}
-
-// runState is the mutable loop state of an in-flight run, held on the
-// Runner so Snapshot can capture it mid-run (from an OnCheckpoint hook).
-type runState struct {
-	ctrl control.Controller
-	b    *bms.BMS
-	inj  *faults.Injector
-	res  *Result
-
-	k, n                               int
-	tz                                 float64
-	hvacJ, motorJ, totalJ              float64
-	comfortViol, comfortCount, trackSq float64
-
-	// Thermal-network plant state and accumulators (nil/zero when the run
-	// has no thermal network).
-	th                *thermal.State
-	cal               battery.CalendarParams
-	calPct            float64
-	hpSteps, ptcSteps int
-	copSum            float64
-}
-
-// Snapshot captures the in-flight run's complete simulation state at the
-// current control-step boundary. It is valid only while a run is
-// executing (i.e. called from an OnCheckpoint hook or from code the run
-// loop invokes); outside a run it returns an error. The returned
-// checkpoint shares nothing with the run — it can be serialized or held
-// across the run's end.
-func (r *Runner) Snapshot() (*Checkpoint, error) {
-	st := r.st
-	if st == nil {
-		return nil, errors.New("sim: Snapshot outside a run (no run in flight)")
-	}
-	snap, ok := st.ctrl.(control.Snapshotter)
-	if !ok {
-		return nil, fmt.Errorf("sim: controller %q does not support state snapshots", st.ctrl.Name())
-	}
-	ctrlState, err := snap.StateSnapshot()
-	if err != nil {
-		return nil, fmt.Errorf("sim: controller snapshot: %w", err)
-	}
-	ck := &Checkpoint{
-		Version:      CheckpointVersion,
-		Controller:   st.ctrl.Name(),
-		Step:         st.k,
-		CabinC:       st.tz,
-		HVACJ:        st.hvacJ,
-		MotorJ:       st.motorJ,
-		TotalJ:       st.totalJ,
-		ComfortViol:  st.comfortViol,
-		ComfortCount: st.comfortCount,
-		TrackSq:      st.trackSq,
-		Trace:        copyTrace(&st.res.Trace),
-		BMS:          st.b.State(),
-		CtrlState:    ctrlState,
-	}
-	if st.inj != nil {
-		fs := st.inj.State()
-		ck.Faults = &fs
-	}
-	if st.th != nil {
-		ck.Thermal = &ThermalCheckpoint{
-			State:       st.th.Snapshot(),
-			CalendarPct: st.calPct,
-			HPSteps:     st.hpSteps,
-			PTCSteps:    st.ptcSteps,
-			COPSum:      st.copSum,
-		}
-	}
-	return ck, nil
-}
-
-// Restore primes the Runner's next Run/RunWith call to continue from ck,
-// exactly as if RunOptions.Resume had been passed. It cannot be called
-// while a run is in flight.
-func (r *Runner) Restore(ck *Checkpoint) error {
-	if ck == nil {
-		return errors.New("sim: Restore with nil checkpoint")
-	}
-	if r.st != nil {
-		return errors.New("sim: Restore while a run is in flight")
-	}
-	r.pendingResume = ck
-	return nil
-}
-
-// restore validates ck against the run being started and loads it into
-// the run state. The controller has already been Reset and had its
-// telemetry bound.
-func (r *Runner) restore(st *runState, ck *Checkpoint) error {
-	if ck.Version != CheckpointVersion {
-		return fmt.Errorf("sim: checkpoint version %d, want %d", ck.Version, CheckpointVersion)
-	}
-	if ck.Controller != st.ctrl.Name() {
-		return fmt.Errorf("sim: checkpoint from controller %q cannot resume %q", ck.Controller, st.ctrl.Name())
-	}
-	if ck.Step < 0 || ck.Step > st.n {
-		return fmt.Errorf("sim: checkpoint step %d outside run of %d steps", ck.Step, st.n)
-	}
-	if len(ck.Trace.Time) != ck.Step {
-		return fmt.Errorf("sim: checkpoint trace has %d steps, expected %d", len(ck.Trace.Time), ck.Step)
-	}
-	if (ck.Faults != nil) != (st.inj != nil) {
-		return errors.New("sim: checkpoint fault state does not match the run's fault configuration")
-	}
-	if (ck.Thermal != nil) != (st.th != nil) {
-		return errors.New("sim: checkpoint thermal state does not match the run's thermal configuration")
-	}
-	snap, ok := st.ctrl.(control.Snapshotter)
-	if !ok {
-		return fmt.Errorf("sim: controller %q does not support state snapshots", st.ctrl.Name())
-	}
-	if len(ck.CtrlState) == 0 {
-		return errors.New("sim: checkpoint is missing the controller state")
-	}
-	if err := snap.RestoreState(ck.CtrlState); err != nil {
-		return fmt.Errorf("sim: controller restore: %w", err)
-	}
-	if err := st.b.SetState(ck.BMS); err != nil {
-		return err
-	}
-	if st.inj != nil {
-		st.inj.SetState(*ck.Faults)
-	}
-	if st.th != nil {
-		if err := st.th.Restore(ck.Thermal.State); err != nil {
-			return err
-		}
-		st.calPct = ck.Thermal.CalendarPct
-		st.hpSteps, st.ptcSteps = ck.Thermal.HPSteps, ck.Thermal.PTCSteps
-		st.copSum = ck.Thermal.COPSum
-	}
-	st.res.Trace = copyTrace(&ck.Trace)
-	st.k = ck.Step
-	st.tz = ck.CabinC
-	st.hvacJ, st.motorJ, st.totalJ = ck.HVACJ, ck.MotorJ, ck.TotalJ
-	st.comfortViol, st.comfortCount, st.trackSq = ck.ComfortViol, ck.ComfortCount, ck.TrackSq
-	return nil
 }
 
 // copyTrace deep-copies a trace so checkpoints and runs never alias.

@@ -125,9 +125,10 @@ func TestCheckpointResumeBitExact(t *testing.T) {
 	}
 }
 
-// TestRestorePrimesNextRun covers the explicit Snapshot/Restore API: a
-// checkpoint captured mid-run primes a later RunWith via Restore, and
-// Restore refuses misuse (nil checkpoint, wrong controller, in-flight).
+// TestRestorePrimesNextRun covers restoring a checkpoint into a later
+// run through RunOptions.Resume on a fresh Runner: a checkpoint captured
+// mid-run completes the run bit for bit, and a checkpoint from one
+// controller cannot resume another.
 func TestRestorePrimesNextRun(t *testing.T) {
 	cfg := DefaultConfig(hotProfile().Truncate(200))
 	r, err := New(cfg)
@@ -155,20 +156,14 @@ func TestRestorePrimesNextRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := r2.Restore(nil); err == nil {
-		t.Error("Restore(nil) accepted")
-	}
-	if err := r2.Restore(ck); err != nil {
-		t.Fatal(err)
-	}
-	res, err := r2.RunWith(control.NewOnOff(hvacModel(t)), RunOptions{})
+	res, err := r2.RunWith(control.NewOnOff(hvacModel(t)), RunOptions{Resume: ck})
 	if err != nil {
 		t.Fatal(err)
 	}
 	a, _ := json.Marshal(ref)
 	b, _ := json.Marshal(res)
 	if string(a) != string(b) {
-		t.Error("Restore-primed run diverges from uninterrupted run")
+		t.Error("resumed run diverges from uninterrupted run")
 	}
 
 	// A checkpoint from one controller cannot resume another.
@@ -176,10 +171,7 @@ func TestRestorePrimesNextRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := r3.Restore(ck); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r3.RunWith(control.NewFuzzy(hvacModel(t)), RunOptions{}); err == nil {
+	if _, err := r3.RunWith(control.NewFuzzy(hvacModel(t)), RunOptions{Resume: ck}); err == nil {
 		t.Error("On/Off checkpoint resumed a fuzzy controller")
 	}
 }
