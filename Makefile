@@ -79,13 +79,16 @@ test-faults:
 
 # Crash-safety suite under the race detector: journal WAL round-trip,
 # torn-tail tolerance, the SIGKILL kill-and-resume byte-identity proof,
-# watchdog/retry/escalation, mid-job checkpoint resume, the sim-level
-# checkpoint bit-exactness property, and the evbench exit-code contract —
+# watchdog/retry/escalation, mid-job checkpoint resume, the same
+# durability on batched units (every mode against one lane per unit, a
+# batch interrupted and resumed, per-lane reruns of a failed batch), the
+# sim-level checkpoint bit-exactness property, and the evbench exit-code
+# contract —
 # plus short fuzz smokes of the journal parser (the file a crashed
 # process leaves behind is untrusted input) and of the coordinator's
 # /complete decoder (so is a payload off the network).
 test-resume:
-	$(GO) test -race -run 'Journal|Watchdog|Retry|Backoff|Checkpoint|Escalation|Kill' ./internal/runner/...
+	$(GO) test -race -run 'Journal|Watchdog|Retry|Backoff|Checkpoint|Escalation|Kill|Batch' ./internal/runner/...
 	$(GO) test -run 'Checkpoint|Restore' ./internal/sim/...
 	$(GO) test ./cmd/evbench/...
 	$(GO) test -fuzz=FuzzParseJournal -fuzztime=10s ./internal/runner/
@@ -142,8 +145,9 @@ fuzz-qp:
 # recorded from the pre-batch scalar step loop (controllers × cycles ×
 # batch sizes, thermal and mixed lanes, fault injection, telemetry,
 # checkpoint/resume on batch boundaries and from recorded checkpoints),
-# and the pool's batch planning / sweep-equivalence tests under the race
-# detector.
+# and the pool's batch planning / sweep-equivalence tests and its
+# batched durability tests (per-lane journal, records, checkpoints,
+# retry, watchdog and cache) under the race detector.
 test-batch:
 	$(GO) test -run 'Batch' ./internal/control/...
 	$(GO) test -run 'Batch|IntegrateLanes|PinnedDigests|RecordedCheckpoints' ./internal/sim/...

@@ -10,7 +10,9 @@ package evclimate_test
 
 import (
 	"context"
+	"path/filepath"
 	"runtime"
+	"strconv"
 	"testing"
 
 	"evclimate/internal/cabin"
@@ -541,11 +543,18 @@ func sweepSpec16() runner.Spec {
 	}
 }
 
-func benchSweep(b *testing.B, workers, batchSize int) {
+// benchSweep runs sweepSpec16; with journal set each run writes a fresh
+// crash-safe journal (one fsync'd record per job) under a temp dir.
+func benchSweep(b *testing.B, workers, batchSize int, journal bool) {
 	b.Helper()
 	spec := sweepSpec16()
+	dir := b.TempDir()
 	for i := 0; i < b.N; i++ {
-		sw, err := runner.Run(context.Background(), spec, runner.Options{Workers: workers, BatchSize: batchSize})
+		opts := runner.Options{Workers: workers, BatchSize: batchSize}
+		if journal {
+			opts.Journal = &runner.JournalConfig{Dir: filepath.Join(dir, strconv.Itoa(i)), Git: "bench"}
+		}
+		sw, err := runner.Run(context.Background(), spec, opts)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -563,15 +572,25 @@ func benchSweep(b *testing.B, workers, batchSize int) {
 // otherwise). The default path batches eligible jobs (Options.BatchSize
 // 0 → 16-lane SoA batches), which is where single-core throughput comes
 // from.
-func BenchmarkSweep16Sequential(b *testing.B) { benchSweep(b, 1, 0) }
+func BenchmarkSweep16Sequential(b *testing.B) { benchSweep(b, 1, 0, false) }
 
-func BenchmarkSweep16Parallel(b *testing.B) { benchSweep(b, runtime.NumCPU(), 0) }
+func BenchmarkSweep16Parallel(b *testing.B) { benchSweep(b, runtime.NumCPU(), 0, false) }
 
 // BenchmarkSweepScalar and BenchmarkSweepBatch pin the batched SoA core
 // against the per-job scalar path on the same grid at real core count;
 // their ratio is the many-vehicle batching win. BenchmarkSweepBatch is
 // regression-gated (Makefile bench-gate) so the sweep cannot quietly
 // fall back to scalar throughput.
-func BenchmarkSweepScalar(b *testing.B) { benchSweep(b, runtime.NumCPU(), -1) }
+func BenchmarkSweepScalar(b *testing.B) { benchSweep(b, runtime.NumCPU(), -1, false) }
 
-func BenchmarkSweepBatch(b *testing.B) { benchSweep(b, runtime.NumCPU(), runner.DefaultBatchSize) }
+func BenchmarkSweepBatch(b *testing.B) {
+	benchSweep(b, runtime.NumCPU(), runner.DefaultBatchSize, false)
+}
+
+// BenchmarkSweepJournal is BenchmarkSweepBatch with a crash-safe
+// journal: the lanes still batch, and each lane's record is appended as
+// its batch finishes. Its distance from BenchmarkSweepBatch is the cost
+// of durability (mostly the per-record fsync).
+func BenchmarkSweepJournal(b *testing.B) {
+	benchSweep(b, runtime.NumCPU(), runner.DefaultBatchSize, true)
+}

@@ -237,7 +237,7 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 		if jc.Git == "" {
 			jc.Git = c.git
 		}
-		jnl, err := runner.OpenJournal(&jc, cfg.Label, jobs)
+		jnl, err := runner.OpenJournal(&jc, cfg.Label, fpv)
 		if err != nil {
 			return nil, err
 		}
@@ -611,7 +611,7 @@ func (c *Coordinator) StitchEach(fn func(*runner.JobResult) error) error {
 				Replayed: true,
 			}
 		default:
-			if jr, err = runner.ReplayRecord(&c.jobs[i], rec); err != nil {
+			if jr, err = runner.ReplayRecord(&c.jobs[i], c.fpv[i], rec); err != nil {
 				return err
 			}
 		}

@@ -2,20 +2,24 @@ package runner
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"math"
 	"time"
 
 	"evclimate/internal/control"
 	"evclimate/internal/sim"
-	"evclimate/internal/telemetry"
 )
 
-// This file is the pool's batched execution path: eligible jobs are
-// grouped into sim.BatchRunner units and simulated N vehicles at a
-// time over SoA state. Every lane's result is bit-identical to running
-// that job alone (a one-lane batch; sim's lane-of-1 vs lane-of-N
-// property), so batching is purely a scheduling decision — and one made from the expansion order alone,
-// keeping sweep outputs worker-count-deterministic.
+// This file is the pool's one execution path. The planner groups jobs
+// into units, and every unit — one lane or sixteen — runs as one
+// sim.BatchRunner over SoA state under one control.Batch of its lanes'
+// controllers. Each lane's result, trace, checkpoints and telemetry are
+// bit-identical to running that job alone (sim's lane-of-1 vs lane-of-N
+// property), so batching is purely a scheduling decision, made from the
+// expansion order alone to keep sweep outputs worker-count-deterministic.
+// Durability — the journal, record streaming, retry, the watchdog,
+// checkpoints — applies per lane (durability.go).
 
 // DefaultBatchSize is the lane count per batch when Options.BatchSize
 // is zero. Sixteen lanes keep the SoA state well inside L1 while
@@ -32,45 +36,15 @@ type batchKey struct {
 	forecast   int
 }
 
-// batchingEnabled reports whether this sweep's options allow batched
-// execution at all. Journal, record streaming, retry, and watchdog
-// sweeps need per-job execution control (per-job registries, per-job
-// deadlines, attempt loops), so they keep the scalar path.
-func (pe *poolEnv) batchingEnabled() bool {
-	o := &pe.opts
-	return o.BatchSize >= 0 &&
-		o.Journal == nil &&
-		o.OnRecord == nil &&
-		o.Retry.MaxAttempts <= 1 &&
-		o.JobTimeout == 0
-}
-
-// batchKeyFor computes a job's batch group, probing the controller
-// family once (per Label+Key) for an SoA fast path. Jobs the planner
-// does not group — thermal lanes (sim batches them; the planner does not
-// yet), non-batchable controllers, degenerate grids — report ok=false
-// and run alone.
-func (pe *poolEnv) batchKeyFor(job *Job, probe map[[2]string]bool) (batchKey, bool) {
+// gridKey computes a job's batch group from its controller identity and
+// time grid, mirroring sim.New's defaulting so the key matches what
+// NewBatch will validate. Degenerate grids report ok=false and run
+// alone.
+func gridKey(job *Job) (batchKey, bool) {
 	cfg := &job.Config
-	if cfg.Thermal != nil || cfg.Profile == nil {
+	if cfg.Profile == nil {
 		return batchKey{}, false
 	}
-	pk := [2]string{job.Controller.Label, job.Controller.Key}
-	batchable, seen := probe[pk]
-	if !seen {
-		batchable = false
-		if job.Controller.New != nil {
-			if c, err := job.Controller.New(); err == nil {
-				batchable = control.Batchable(c)
-			}
-		}
-		probe[pk] = batchable
-	}
-	if !batchable {
-		return batchKey{}, false
-	}
-	// Mirror sim.New's defaulting so the key matches what NewBatch will
-	// validate.
 	dt := cfg.ControlDt
 	if dt <= 0 {
 		dt = cfg.Profile.Dt
@@ -96,35 +70,61 @@ func (pe *poolEnv) batchKeyFor(job *Job, probe map[[2]string]bool) (batchKey, bo
 	}, true
 }
 
-// planUnits schedules the not-yet-run jobs into execution units:
-// singleton units for scalar jobs, and batches of up to BatchSize lanes
-// for groups sharing a batchKey. Grouping walks the expansion order and
-// flushes leftover partial groups in first-seen key order, so the plan
-// is a pure function of the job list — independent of workers and of
-// wall-clock.
+// batchable reports whether a controller family has an SoA fast path,
+// constructing one controller per family (memoized in probe). A family
+// without one — the MPC — would only serialize its lanes, so its jobs
+// run alone. A failing or panicking constructor is not batchable; the
+// job's own run reports the failure.
+func batchable(spec *ControllerSpec, probe map[[2]string]bool) (ok bool) {
+	pk := [2]string{spec.Label, spec.Key}
+	if b, seen := probe[pk]; seen {
+		return b
+	}
+	defer func() {
+		if recover() != nil {
+			ok = false
+		}
+		probe[pk] = ok
+	}()
+	if spec.New != nil {
+		if c, err := spec.New(); err == nil {
+			ok = control.Batchable(c)
+		}
+	}
+	return ok
+}
+
+// planUnits schedules the jobs not yet run into units: batches of up to
+// BatchSize lanes for jobs sharing a batchKey of a batchable family,
+// single jobs otherwise. Only grids shared by two or more jobs probe
+// their family, so a lone job's constructor is never called an extra
+// time. Grouping walks the expansion order and flushes leftover partial
+// groups in first-seen key order, so the plan is a pure function of the
+// job list and BatchSize — independent of workers, wall-clock, and the
+// sweep's durability options.
 func (pe *poolEnv) planUnits(ran []bool) [][]int {
 	size := pe.opts.BatchSize
 	if size == 0 {
 		size = DefaultBatchSize
 	}
-	var units [][]int
-	if size <= 1 || !pe.batchingEnabled() {
-		for i := range pe.jobs {
-			if !ran[i] {
-				units = append(units, []int{i})
-			}
+	keys := make([]batchKey, len(pe.jobs))
+	shared := make(map[batchKey]int)
+	for i := range pe.jobs {
+		if k, ok := gridKey(&pe.jobs[i]); ok && !ran[i] && size > 1 {
+			keys[i] = k
+			shared[k]++
 		}
-		return units
 	}
 	probe := make(map[[2]string]bool)
 	groups := make(map[batchKey][]int)
 	var order []batchKey
+	var units [][]int
 	for i := range pe.jobs {
 		if ran[i] {
 			continue
 		}
-		key, ok := pe.batchKeyFor(&pe.jobs[i], probe)
-		if !ok {
+		key := keys[i]
+		if shared[key] < 2 || !batchable(&pe.jobs[i].Controller, probe) {
 			units = append(units, []int{i})
 			continue
 		}
@@ -145,122 +145,120 @@ func (pe *poolEnv) planUnits(ran []bool) [][]int {
 	return units
 }
 
-// runBatch executes one multi-job unit, writing each lane's JobResult
-// into out. Cache hits leave the batch lane by lane; anything that
-// keeps the batch from running as one — a lane failing construction, a
-// panicking controller, an integration error — falls the surviving
-// lanes back to the scalar runOne path, which attributes errors
-// per job. Lanes left untouched by a context abort stay zero for the
-// pool's final ctx.Err fill.
-func (pe *poolEnv) runBatch(ctx context.Context, unit []int, out []JobResult) {
-	opts := &pe.opts
-	live := make([]int, 0, len(unit))
+// runUnit runs one planned unit. A lane that hits the cache finishes at
+// once; a lane with a resumable checkpoint runs alone, as does the lane
+// of a one-job unit; the rest run as one batch. A batch that errors,
+// panics or trips its watchdog is not an attempt: each of its lanes
+// reruns alone from attempt 1, so retries, escalation and error text are
+// what a one-lane unit gives. Lanes the sweep's cancellation leaves
+// unfinished keep a zero JobResult.
+func (pe *poolEnv) runUnit(ctx context.Context, unit []int, out []JobResult) {
+	var batch []*lane
 	for _, i := range unit {
-		job := &pe.jobs[i]
-		if opts.Cache != nil {
-			if res, saved, ok := opts.Cache.get(job.Fingerprint()); ok {
-				out[i] = JobResult{Job: *job, Result: res, Cached: true, Saved: saved, Attempts: 1}
-				pe.shared.cached.Inc()
-				pe.shared.seconds.Observe(0)
-				continue
+		ln := pe.newLane(i)
+		switch {
+		case pe.cached(ln):
+			pe.finish(ctx, ln, out)
+		case len(unit) > 1 && pe.resumable(ln) == nil:
+			batch = append(batch, ln)
+		default:
+			pe.runAlone(ctx, ln, out)
+		}
+	}
+	if len(batch) > 1 {
+		if pe.attempt(ctx, batch) == nil {
+			for _, ln := range batch {
+				pe.finish(ctx, ln, out)
 			}
-		}
-		live = append(live, i)
-	}
-	switch len(live) {
-	case 0:
-		return
-	case 1:
-		out[live[0]] = pe.runOne(ctx, live[0])
-		return
-	}
-	if results := pe.executeBatch(ctx, live); results != nil {
-		for k, i := range live {
-			out[i] = results[k]
-		}
-		return
-	}
-	if ctx.Err() != nil {
-		return
-	}
-	for _, i := range live {
-		if ctx.Err() != nil {
 			return
 		}
-		out[i] = pe.runOne(ctx, i)
+		if ctx.Err() != nil {
+			return // drained: the lanes are left for a resume
+		}
+	}
+	for _, ln := range batch {
+		pe.runAlone(ctx, ln, out)
 	}
 }
 
-// executeBatch runs the live lanes as one sim.BatchRunner invocation.
-// A nil return means "retry these lanes on the scalar path" — the
-// batched core refuses nothing the scalar path would accept, so a
-// fallback either reproduces the same per-lane errors with proper
-// attribution or succeeds where a sibling lane poisoned the batch.
-func (pe *poolEnv) executeBatch(ctx context.Context, live []int) (results []JobResult) {
-	opts := &pe.opts
+// attempt runs the lanes once as one unit, the pool's only execution
+// path: fresh telemetry per lane (so a rerun never double-counts a
+// failed attempt), one sim.BatchRunner over the lanes' configurations,
+// one control.Batch of their controllers, an n × JobTimeout watchdog
+// for n lanes, and one checkpoint per lane every CheckpointEvery steps.
+// Every lane's JobResult carries the unit's outcome — its own result,
+// or the unit's error — with the wall-clock shared equally: per-lane
+// attribution of a fused loop is not observable, and these series are
+// excluded from deterministic comparisons anyway.
+func (pe *poolEnv) attempt(ctx context.Context, lanes []*lane) error {
+	start := time.Now()
+	for _, ln := range lanes {
+		pe.newSinks(ln)
+	}
+	rs, bc, err := pe.simulate(ctx, lanes)
+	share := time.Since(start) / time.Duration(len(lanes))
+	for k, ln := range lanes {
+		ln.jr = JobResult{Job: pe.jobs[ln.i], Elapsed: share, Attempts: 1, Err: err}
+		if err == nil {
+			ln.jr.Result, ln.jr.Instance = rs[k], bc.Lane(k)
+		}
+	}
+	return err
+}
+
+// simulate builds and runs the unit, capturing panics into the error so
+// one diverging scenario cannot kill the sweep.
+func (pe *poolEnv) simulate(ctx context.Context, lanes []*lane) (rs []*sim.Result, bc control.BatchController, err error) {
 	defer func() {
-		if recover() != nil {
-			results = nil // a panicking lane re-runs scalar, which captures it
+		if r := recover(); r != nil {
+			job := &pe.jobs[lanes[0].i]
+			rs, err = nil, fmt.Errorf("runner: job %d (%s on %s) %w: %v",
+				job.Index, lanes[0].spec.Label, job.Cycle, ErrJobPanicked, r)
 		}
 	}()
-	start := time.Now()
-	nl := len(live)
-	cfgs := make([]sim.Config, nl)
-	recs := make([]*telemetry.StepTrace, nl)
-	for k, i := range live {
-		job := &pe.jobs[i]
-		cfg := job.Config
-		if opts.Telemetry != nil || pe.traces != nil {
-			if pe.traces != nil {
-				recs[k] = telemetry.NewStepTrace(opts.TraceSteps)
-			}
-			cfg.Telemetry = telemetry.NewSink(opts.Telemetry, recs[k], jobLabels(job)...)
+	opts := &pe.opts
+	cfgs := make([]sim.Config, len(lanes))
+	for k, ln := range lanes {
+		cfgs[k] = pe.jobs[ln.i].Config
+		if ln.sink != nil {
+			cfgs[k].Telemetry = ln.sink
 		}
-		cfgs[k] = cfg
 	}
 	br, err := sim.NewBatch(cfgs)
 	if err != nil {
-		return nil
+		// A one-lane unit reports its configuration's own error, as
+		// sim.New gives it, without the batch-lane prefix.
+		if inner := errors.Unwrap(err); inner != nil && len(lanes) == 1 {
+			err = inner
+		}
+		return nil, nil, err
 	}
-	ctrls := make([]control.Controller, nl)
-	for k, i := range live {
-		spec := &pe.jobs[i].Controller
-		if spec.New == nil {
-			return nil
+	ctrls := make([]control.Controller, len(lanes))
+	for k, ln := range lanes {
+		if ln.spec.New == nil {
+			return nil, nil, fmt.Errorf("runner: controller %q has no constructor", ln.spec.Label)
 		}
-		c, err := spec.New()
-		if err != nil {
-			return nil
-		}
-		ctrls[k] = c
-	}
-	bc := control.Batch(ctrls)
-	rs, err := br.RunWith(bc, sim.BatchRunOptions{Context: ctx})
-	if err != nil {
-		return nil
-	}
-	// Wall-clock is shared equally across lanes: per-lane attribution of
-	// a fused loop is not observable, and these series are excluded from
-	// deterministic comparisons anyway.
-	share := time.Since(start) / time.Duration(nl)
-	results = make([]JobResult, nl)
-	for k, i := range live {
-		job := &pe.jobs[i]
-		if opts.Cache != nil {
-			opts.Cache.put(job.Fingerprint(), rs[k], share)
-		}
-		pe.shared.ok.Inc()
-		pe.shared.seconds.Observe(share.Seconds())
-		if pe.traces != nil {
-			pe.traces[i] = recs[k]
-		}
-		results[k] = JobResult{
-			Job:      *job,
-			Result:   rs[k],
-			Instance: bc.Lane(k),
-			Elapsed:  share,
-			Attempts: 1,
+		if ctrls[k], err = ln.spec.New(); err != nil {
+			return nil, nil, err
 		}
 	}
-	return results
+	bc = control.Batch(ctrls)
+	bo := sim.BatchRunOptions{Context: ctx}
+	if opts.JobTimeout > 0 {
+		var cancel context.CancelFunc
+		bo.Context, cancel = context.WithTimeout(ctx, time.Duration(len(lanes))*opts.JobTimeout)
+		defer cancel()
+	}
+	// Resumable lanes run alone, so this is nil or one checkpoint.
+	for _, ln := range lanes {
+		if ln.resume != nil {
+			bo.Resume = append(bo.Resume, ln.resume.Checkpoint)
+		}
+	}
+	if lanes[0].ckPath != "" {
+		bo.CheckpointEvery = opts.Journal.CheckpointEvery
+		bo.OnCheckpoint = func(k int, ck *sim.Checkpoint) error { return pe.writeCheckpoint(lanes[k], ck) }
+	}
+	rs, err = br.RunWith(bc, bo)
+	return rs, bc, err
 }

@@ -11,6 +11,7 @@ import (
 	"context"
 	"reflect"
 	"testing"
+	"time"
 )
 
 // batchSweepSpec is a small grid whose jobs all qualify for batching:
@@ -118,16 +119,20 @@ func TestPlanUnitsDeterministic(t *testing.T) {
 		t.Fatal("plan is not deterministic for a fixed job list")
 	}
 
-	// Disabling batching — explicitly or via a mode that needs per-job
-	// execution control — degenerates the plan to singletons.
+	// Durability options apply per lane and leave the plan unchanged;
+	// only BatchSize: -1 degenerates it to singletons.
 	for _, opts := range []Options{
-		{BatchSize: -1},
-		{Retry: RetryPolicy{MaxAttempts: 2}},
+		{Journal: &JournalConfig{CheckpointEvery: 10}},
+		{OnRecord: func(*JournalRecord) {}},
+		{Retry: RetryPolicy{MaxAttempts: 2}, JobTimeout: time.Second},
 	} {
-		for _, u := range plan(opts) {
-			if len(u) != 1 {
-				t.Fatalf("opts %+v: expected singleton units, got lane count %d", opts, len(u))
-			}
+		if got := plan(opts); !reflect.DeepEqual(got, units) {
+			t.Fatalf("opts %+v: plan %v differs from the default %v", opts, got, units)
+		}
+	}
+	for _, u := range plan(Options{BatchSize: -1}) {
+		if len(u) != 1 {
+			t.Fatalf("BatchSize -1: expected singleton units, got lane count %d", len(u))
 		}
 	}
 }

@@ -192,23 +192,19 @@ func journalFileName(label string, fp uint64) string {
 	return fmt.Sprintf("%s-%s.journal", s, telemetry.FormatFingerprint(fp))
 }
 
-// OpenJournal creates the journal for a job list, or resumes an
+// OpenJournal creates the journal for a job list, given as its job
+// fingerprints in expansion order (see Fingerprints), or resumes an
 // existing one when cfg.Resume is set (refusing on any header
 // mismatch). A pre-existing journal without Resume is an error. The
 // sweep pool opens its journal here; the distributed fabric's
 // coordinator uses the same format (and therefore the same resume
 // semantics) for its lease/completion log.
-func OpenJournal(cfg *JournalConfig, label string, jobs []Job) (*Journal, error) {
-	return openSweepJournal(cfg, label, jobs)
-}
-
-// openSweepJournal implements OpenJournal.
-func openSweepJournal(cfg *JournalConfig, label string, jobs []Job) (*Journal, error) {
+func OpenJournal(cfg *JournalConfig, label string, fps []uint64) (*Journal, error) {
 	git := cfg.Git
 	if git == "" {
 		git = telemetry.GitDescribe("")
 	}
-	fp := SweepFingerprint(jobs)
+	fp := SweepFingerprintOf(fps)
 	h := JournalHeader{
 		Kind:             "header",
 		Version:          JournalVersion,
@@ -216,7 +212,7 @@ func openSweepJournal(cfg *JournalConfig, label string, jobs []Job) (*Journal, e
 		SweepFingerprint: telemetry.FormatFingerprint(fp),
 		Git:              git,
 		GoVersion:        runtime.Version(),
-		Jobs:             len(jobs),
+		Jobs:             len(fps),
 	}
 	path := filepath.Join(cfg.Dir, journalFileName(label, fp))
 	if _, err := os.Stat(path); err == nil {
@@ -482,9 +478,8 @@ func (j *Journal) Close() error {
 	return j.f.Close()
 }
 
-// checkpointPath is the mid-job checkpoint file for a job, beside the
-// journal and keyed by the job's scenario fingerprint.
-func (j *Journal) checkpointPath(job *Job) string {
-	return filepath.Join(filepath.Dir(j.path),
-		fmt.Sprintf("ckpt-%s.json", telemetry.FormatFingerprint(job.Fingerprint())))
+// checkpointPath is the mid-job checkpoint file for the job with
+// scenario fingerprint fp, beside the journal.
+func (j *Journal) checkpointPath(fp uint64) string {
+	return filepath.Join(filepath.Dir(j.path), fmt.Sprintf("ckpt-%s.json", telemetry.FormatFingerprint(fp)))
 }

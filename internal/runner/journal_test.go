@@ -316,7 +316,7 @@ func TestJournalLeaseRecordsRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	jnl, err := OpenJournal(&JournalConfig{Dir: dir, Git: "test-build"}, "lease", jobs)
+	jnl, err := OpenJournal(&JournalConfig{Dir: dir, Git: "test-build"}, "lease", Fingerprints(jobs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -354,7 +354,7 @@ func TestJournalLeaseRecordsRoundTrip(t *testing.T) {
 	}
 
 	// Resuming a journal that holds lease events still works.
-	jnl2, err := OpenJournal(&JournalConfig{Dir: dir, Resume: true, Git: "test-build"}, "lease", jobs)
+	jnl2, err := OpenJournal(&JournalConfig{Dir: dir, Resume: true, Git: "test-build"}, "lease", Fingerprints(jobs))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,10 +28,11 @@ type Options struct {
 	Progress func(done, total int, jr *JobResult)
 	// Telemetry, when non-nil, is the sweep's shared metric registry:
 	// each job runs under a sink labeled by cycle, controller, and fault
-	// scenario over this registry, and the pool counts job outcomes and
-	// durations on it. Atomic metric updates commute, so the aggregated
-	// deterministic series are worker-count-independent. Note that cache
-	// hits skip the simulation and therefore emit no per-step metrics.
+	// scenario over a job-private registry, which also counts the job's
+	// outcome and duration and merges into this one when the job
+	// finishes. Metric merges commute, so the aggregated deterministic
+	// series are worker-count-independent. Note that cache hits skip the
+	// simulation and therefore emit no per-step metrics.
 	Telemetry *telemetry.Registry
 	// TraceLog, when non-nil, collects every job's step spans, stitched
 	// in expansion order after all jobs finish — deterministic at any
@@ -54,30 +55,34 @@ type Options struct {
 	Journal *JournalConfig
 	// OnRecord, when non-nil, receives each completed job's journal-form
 	// record — exactly what journal mode appends — whether or not a disk
-	// journal is configured. Jobs then run with job-private registries as
-	// in journal mode, so each record carries the job's complete metric
-	// contribution (requires Options.Telemetry). The distributed fabric's
-	// workers stream these records back to their coordinator. Calls come
-	// from worker goroutines; the callback must be concurrency-safe.
+	// journal is configured. Each record carries the job's complete
+	// metric contribution, its private registry's snapshot (requires
+	// Options.Telemetry). The distributed fabric's workers stream these
+	// records back to their coordinator. Calls come from worker
+	// goroutines; the callback must be concurrency-safe.
 	OnRecord func(rec *JournalRecord)
 	// JobTimeout, when positive, is the per-job watchdog: a wall-clock
 	// deadline threaded into the simulation and checked every control
-	// step, so a hung or runaway job aborts without stalling the pool.
+	// step, so a hung or runaway job aborts without stalling the pool. A
+	// batch of n lanes runs under an n × JobTimeout deadline; when it
+	// trips, each lane reruns alone under JobTimeout, so a job fails on
+	// the watchdog only when it overruns running alone.
 	JobTimeout time.Duration
 	// Retry re-runs jobs that panic or exceed the watchdog, with
 	// exponential backoff and optional escalation through the job's
 	// controller fallback ladder (ControllerSpec.Fallbacks).
 	Retry RetryPolicy
-	// BatchSize groups eligible jobs into lockstep SoA batches
-	// (sim.BatchRunner): jobs sharing a batchable controller family and
-	// a time grid are simulated N vehicles at a time, which is where the
-	// sweep's throughput comes from on few-core machines. 0 uses
-	// DefaultBatchSize; negative disables batching. Grouping follows
-	// expansion order and is independent of Workers, so sweep outputs
-	// stay worker-count-deterministic; each lane's result is bit-identical
-	// to running that job alone. Batching disengages automatically for sweeps
-	// running a journal, record streaming, retries, or a job watchdog —
-	// those paths need per-job execution control.
+	// BatchSize groups jobs into lockstep SoA batches (sim.BatchRunner):
+	// jobs sharing a batchable controller family and a time grid are
+	// simulated N vehicles at a time, which is where the sweep's
+	// throughput comes from on few-core machines. 0 uses
+	// DefaultBatchSize; negative runs every job as a one-lane unit.
+	// Grouping follows expansion order and is independent of Workers and
+	// of the durability options, so sweep outputs stay
+	// worker-count-deterministic; each lane's result is bit-identical to
+	// running that job alone. The journal, OnRecord, checkpoints, retry
+	// and the watchdog apply per lane; a batch that fails reruns its
+	// lanes alone.
 	BatchSize int
 }
 
@@ -270,12 +275,15 @@ func RunJobs(ctx context.Context, jobs []Job, opts Options) ([]JobResult, error)
 		traces = make([]*telemetry.StepTrace, len(jobs))
 	}
 	pe := &poolEnv{opts: opts, jobs: jobs, traces: traces}
+	if opts.Cache != nil || pe.recordMode() {
+		pe.fps = Fingerprints(jobs) // cache keys, record stamps, checkpoint files
+	}
 	pe.resolveCounters()
 
 	// Journal mode: open (or resume) the write-ahead log and replay the
 	// finished jobs before any worker starts.
 	if opts.Journal != nil {
-		jnl, err := openSweepJournal(opts.Journal, opts.ManifestLabel, jobs)
+		jnl, err := OpenJournal(opts.Journal, opts.ManifestLabel, pe.fps)
 		if err != nil {
 			return nil, err
 		}
@@ -287,7 +295,7 @@ func RunJobs(ctx context.Context, jobs []Job, opts Options) ([]JobResult, error)
 			if rec == nil || rec.Err != "" {
 				continue // never journaled, or failed: re-run it
 			}
-			jr, err := pe.replay(&jobs[i], i, rec)
+			jr, err := pe.replay(i, rec)
 			if err != nil {
 				return nil, err
 			}
@@ -302,6 +310,12 @@ func RunJobs(ctx context.Context, jobs []Job, opts Options) ([]JobResult, error)
 				ReplayedJobs:     replayed,
 				Git:              jnl.Header().Git,
 			})
+		}
+		// Replayed jobs report progress up front, in expansion order.
+		for i := range out {
+			if ran[i] {
+				pe.progress(&out[i])
+			}
 		}
 	}
 
@@ -323,17 +337,6 @@ func RunJobs(ctx context.Context, jobs []Job, opts Options) ([]JobResult, error)
 		}
 	}()
 
-	var mu sync.Mutex // serializes progress callbacks and the done count
-	done := 0
-	// Replayed jobs report progress up front, in expansion order.
-	if opts.Progress != nil {
-		for i := range out {
-			if ran[i] {
-				done++
-				opts.Progress(done, len(jobs), &out[i])
-			}
-		}
-	}
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -343,44 +346,15 @@ func RunJobs(ctx context.Context, jobs []Job, opts Options) ([]JobResult, error)
 				if ctx.Err() != nil {
 					return
 				}
-				if len(unit) == 1 {
-					i := unit[0]
-					out[i] = pe.runOne(ctx, i)
-					ran[i] = true
-					if opts.Progress != nil {
-						mu.Lock()
-						done++
-						opts.Progress(done, len(jobs), &out[i])
-						mu.Unlock()
-					}
-					continue
-				}
-				pe.runBatch(ctx, unit, out)
-				for _, i := range unit {
-					if ctx.Err() != nil && out[i].Result == nil && out[i].Err == nil {
-						continue // aborted lane: filled with ctx.Err below
-					}
-					ran[i] = true
-				}
-				if opts.Progress != nil {
-					mu.Lock()
-					for _, i := range unit {
-						if !ran[i] {
-							continue
-						}
-						done++
-						opts.Progress(done, len(jobs), &out[i])
-					}
-					mu.Unlock()
-				}
+				pe.runUnit(ctx, unit, out)
 			}
 		}()
 	}
 	wg.Wait()
 
 	for i := range out {
-		if !ran[i] {
-			out[i] = JobResult{Job: jobs[i], Err: ctx.Err()}
+		if !ran[i] && out[i].Attempts == 0 {
+			out[i] = JobResult{Job: jobs[i], Err: ctx.Err()} // left unfinished by cancellation
 		}
 	}
 	if opts.TraceLog != nil {
@@ -405,72 +379,4 @@ func jobLabels(j *Job) []telemetry.Label {
 		ls = append(ls, telemetry.L("scenario", j.Fault.Name))
 	}
 	return ls
-}
-
-// execute runs one attempt of a job under the given controller spec
-// (the job's own, or an escalation fallback), capturing panics into the
-// result error so one diverging scenario cannot kill the sweep. The
-// sink, when non-nil, replaces the job config's Telemetry for this
-// execution (the fingerprint ignores it, so caching is unaffected).
-func execute(job *Job, spec *ControllerSpec, cache *Cache, sink telemetry.Sink, ro sim.RunOptions) (jr JobResult) {
-	jr.Job = *job
-	start := time.Now()
-	defer func() {
-		if r := recover(); r != nil {
-			jr.Result = nil
-			jr.Err = fmt.Errorf("runner: job %d (%s on %s) %w: %v",
-				job.Index, spec.Label, job.Cycle, ErrJobPanicked, r)
-		}
-		// Error and panic paths keep their wall-clock too; only cache
-		// hits report zero (their cost is in Saved).
-		if !jr.Cached && jr.Elapsed == 0 {
-			jr.Elapsed = time.Since(start)
-		}
-	}()
-
-	// Escalated attempts run a different controller than the
-	// fingerprint names, so their results never enter (or come from)
-	// the cache.
-	useCache := cache != nil && spec == &job.Controller
-	var key uint64
-	if useCache {
-		key = job.Fingerprint()
-		if res, saved, ok := cache.get(key); ok {
-			jr.Result = res
-			jr.Cached = true
-			jr.Saved = saved
-			return jr
-		}
-	}
-
-	cfg := job.Config
-	if sink != nil {
-		cfg.Telemetry = sink
-	}
-	r, err := sim.New(cfg)
-	if err != nil {
-		jr.Err = err
-		return jr
-	}
-	if spec.New == nil {
-		jr.Err = fmt.Errorf("runner: controller %q has no constructor", spec.Label)
-		return jr
-	}
-	ctrl, err := spec.New()
-	if err != nil {
-		jr.Err = err
-		return jr
-	}
-	res, err := r.RunWith(ctrl, ro)
-	if err != nil {
-		jr.Err = err
-		return jr
-	}
-	jr.Result = res
-	jr.Instance = ctrl
-	jr.Elapsed = time.Since(start)
-	if useCache {
-		cache.put(key, res, jr.Elapsed)
-	}
-	return jr
 }

@@ -72,7 +72,7 @@ func NewBatch(cfgs []Config) (*BatchRunner, error) {
 		}
 		n := r.stepCount()
 		if n <= 0 {
-			return nil, fmt.Errorf("sim: batch lane %d: profile too short for one control step", i)
+			return nil, fmt.Errorf("sim: batch lane %d: %w", i, errProfileTooShort)
 		}
 		if i == 0 {
 			br.n, br.dt, br.subSteps = n, r.cfg.ControlDt, r.cfg.PlantSubSteps

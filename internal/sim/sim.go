@@ -320,6 +320,9 @@ func (r *Runner) forecast(t float64, steps int) control.Forecast {
 	return f
 }
 
+// errProfileTooShort rejects a profile shorter than one control step.
+var errProfileTooShort = errors.New("sim: profile too short for one control step")
+
 // Run simulates the whole profile under the given controller and returns
 // the trace and metrics. The controller is Reset before the run.
 func (r *Runner) Run(ctrl control.Controller) (*Result, error) {
@@ -339,7 +342,7 @@ func (r *Runner) Run(ctrl control.Controller) (*Result, error) {
 func (r *Runner) RunWith(ctrl control.Controller, opts RunOptions) (*Result, error) {
 	n := r.stepCount()
 	if n <= 0 {
-		return nil, errors.New("sim: profile too short for one control step")
+		return nil, errProfileTooShort
 	}
 	br := &BatchRunner{lanes: []*Runner{r}, n: n, dt: r.cfg.ControlDt, subSteps: r.cfg.PlantSubSteps}
 	bo := BatchRunOptions{Context: opts.Context, CheckpointEvery: opts.CheckpointEvery}

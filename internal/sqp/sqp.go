@@ -137,12 +137,6 @@ type Options struct {
 	// MaxIterations), exceeding it reports Status BudgetExceeded and
 	// ErrBudgetExceeded. When both are set the tighter one applies.
 	HardIterCap int
-	// Solver is the KKT backend hint passed to the QP subproblems
-	// (default qp.BackendAuto: structured whenever Problem.Stages is
-	// declared and conforming). qp.BackendDense forces the dense
-	// reference path and dense BFGS updates — useful for A/B equivalence
-	// runs against the structured backend.
-	Solver qp.Backend
 	// Work, when non-nil, is a reusable solver workspace: repeated Solve
 	// calls with same-shaped problems perform no per-iteration allocation,
 	// and the slices in the returned Result alias the workspace (valid
@@ -367,21 +361,18 @@ func Solve(p *Problem, x0 []float64, opt Options) (*Result, error) {
 	ws.ensure(p)
 	ev := &evaluator{p: p, opt: &opt, ws: ws}
 
-	// Stage-structured mode: per-stage variable offsets drive the
-	// block-diagonal BFGS updates below.
-	structured := p.Stages != nil && opt.Solver != qp.BackendDense
-	var voff []int
+	// Per-stage variable offsets drive the block-diagonal BFGS updates
+	// below; a problem without declared stages is one block of N.
+	structured := p.Stages != nil
+	voff := append(ws.voff[:0], 0)
 	if structured {
-		nst := p.Stages.Stages()
-		if cap(ws.voff) < nst+1 {
-			ws.voff = make([]int, nst+1)
+		for _, nv := range p.Stages.NV {
+			voff = append(voff, voff[len(voff)-1]+nv)
 		}
-		voff = ws.voff[:nst+1]
-		voff[0] = 0
-		for k := 0; k < nst; k++ {
-			voff[k+1] = voff[k] + p.Stages.NV[k]
-		}
+	} else {
+		voff = append(voff, p.N)
 	}
+	ws.voff = voff
 
 	// Double-buffered iterate state: the locals holding the current point
 	// and its derivatives swap with their *New partners on every accepted
@@ -481,7 +472,7 @@ func Solve(p *Problem, x0 []float64, opt Options) (*Result, error) {
 		if qpTol < 1e-8 {
 			qpTol = 1e-8
 		}
-		qpOpts := qp.Options{Tol: qpTol, Backend: opt.Solver, Work: ws.qpWork}
+		qpOpts := qp.Options{Tol: qpTol, Work: ws.qpWork}
 		qr, err := qp.Solve(sub, qpOpts)
 		if qr != nil {
 			res.QPIterations += qr.Iterations
@@ -630,11 +621,7 @@ func Solve(p *Problem, x0 []float64, opt Options) (*Result, error) {
 			mat.Axpy(-1, ws.tmpN, yVec)
 		}
 		sVec := mat.SubVecInto(ws.sVec, xNew, x)
-		if structured {
-			updateBFGSBlocks(b, voff, sVec, yVec, ws.bs, ws.bfgsR)
-		} else {
-			updateBFGS(b, sVec, yVec, ws.bs, ws.bfgsR)
-		}
+		updateBFGSBlocks(b, voff, sVec, yVec, ws.bs, ws.bfgsR)
 
 		x, xNew = xNew, x
 		f = fNew
@@ -678,22 +665,16 @@ func Solve(p *Problem, x0 []float64, opt Options) (*Result, error) {
 	return res, nil
 }
 
-// updateBFGS applies the damped BFGS update (Powell 1978) to b in place,
-// keeping it positive definite. bs and r are caller scratch (length n).
-func updateBFGS(b *mat.Dense, s, y, bs, r []float64) {
-	n, _ := b.Dims()
-	updateBFGSBlock(b, 0, n, s, y, bs, r)
-}
-
-// updateBFGSBlocks applies the damped update independently to each
-// diagonal stage block of b, leaving off-block entries untouched (zero
-// from the scaled-identity seed). Each block update preserves positive
-// definiteness of its block, so the block-diagonal approximation stays PD
-// and — unlike a dense rank-two update — inside the block-tridiagonal
-// band the stage declaration promises to the QP backend. Curvature
-// between stages is discarded; that costs some BFGS accuracy but keeps
-// the subproblems structured, which is the better trade in the MPC hot
-// path.
+// updateBFGSBlocks applies the damped BFGS update (Powell 1978)
+// independently to each diagonal stage block of b, leaving off-block
+// entries untouched (zero from the scaled-identity seed). Each block
+// update preserves positive definiteness of its block, so the
+// block-diagonal approximation stays PD and — unlike a dense rank-two
+// update — inside the block-tridiagonal band the stage declaration
+// promises to the QP backend. Curvature between stages is discarded;
+// that costs some BFGS accuracy but keeps the subproblems structured,
+// which is the better trade in the MPC hot path. A problem without
+// stages is one block, the full-matrix update.
 func updateBFGSBlocks(b *mat.Dense, voff []int, s, y, bs, r []float64) {
 	for k := 0; k+1 < len(voff); k++ {
 		lo, hi := voff[k], voff[k+1]

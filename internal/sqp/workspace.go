@@ -34,9 +34,9 @@ type Workspace struct {
 	lagGrad, tmpN []float64
 	d             []float64 // QP step copy (stable across the elastic fallback)
 	yVec, sVec    []float64
-	bs, bfgsR     []float64 // updateBFGS scratch
+	bs, bfgsR     []float64 // updateBFGSBlocks scratch
 	b             *mat.Dense
-	voff          []int // stage variable offsets (structured mode)
+	voff          []int // stage variable offsets (one block without stages)
 
 	// Finite-difference / evaluator scratch.
 	xt             []float64
